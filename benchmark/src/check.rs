@@ -15,8 +15,8 @@ use std::sync::Arc;
 pub struct Checks {
     pub compared: u64,
     pub mismatches: Vec<String>,
-    /// Test hook: corrupt the first reference answer, which must make the
-    /// run fail.
+    /// Test hook: corrupt the reference answers of the first comparison
+    /// (every candidate epoch of it), which must make the run fail.
     pub corrupt_first: bool,
 }
 
@@ -37,10 +37,10 @@ impl Checks {
         self.mismatches.push(what);
     }
 
-    /// The exact answer to `q` on `corpus`.
-    pub fn reference(&mut self, corpus: &Corpus, model: ProximityModel, q: &Query) -> Ranking {
+    /// The exact answer to `q` on `corpus`, perturbed when `corrupt`.
+    fn reference(corpus: &Corpus, model: ProximityModel, q: &Query, corrupt: bool) -> Ranking {
         let mut items = ExactOnline::new(corpus, model).query(q).items;
-        if std::mem::take(&mut self.corrupt_first) {
+        if corrupt {
             match items.first_mut() {
                 Some(first) => first.1 += 1.0,
                 None => items.push((0, 1.0)),
@@ -58,7 +58,8 @@ impl Checks {
         q: &Query,
         got: &Ranking,
     ) {
-        let want = self.reference(corpus, model, q);
+        let corrupt = std::mem::take(&mut self.corrupt_first);
+        let want = Self::reference(corpus, model, q, corrupt);
         self.compared += 1;
         if !same_ranking(&want, got) {
             self.fail(format!(
@@ -84,8 +85,9 @@ impl Checks {
         q: &Query,
         got: &Ranking,
     ) {
+        let corrupt = std::mem::take(&mut self.corrupt_first);
         let wants: Vec<Ranking> = (from..=to)
-            .map(|e| self.reference(&kept[&e], model, q))
+            .map(|e| Self::reference(&kept[&e], model, q, corrupt))
             .collect();
         self.compared += 1;
         if !wants.iter().any(|w| same_ranking(w, got)) {

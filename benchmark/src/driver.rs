@@ -202,7 +202,8 @@ fn paced_writer(
     (records, kept)
 }
 
-/// What the closed-loop read phase observed.
+/// What a series of closed-loop read trials observed.
+#[derive(Default)]
 pub struct ClosedLoopRun {
     pub completed: u64,
     pub failed: u64,
@@ -215,77 +216,82 @@ pub struct ClosedLoopRun {
     pub sampled: Vec<(usize, Ranking)>,
 }
 
-/// Runs `trials` back-to-back closed-loop trials splitting `length`
-/// evenly. Each keeps `window` deadline-free requests in flight, cycling
-/// through `queries`, until its share of `length` has passed, then drains;
-/// its rate is its completions over its whole elapsed time.
-pub fn closed_loop(
+/// Runs one closed-loop trial into `run`: keeps `window` deadline-free
+/// requests in flight, submitting `queries` in order from submission index
+/// `*next` (cycling), until `length` has passed, then drains. The trial's
+/// rate is its completions over its whole elapsed time. `*next` is left
+/// after the last request sent, so the next trial never repeats a query
+/// this one left in a cache.
+#[allow(clippy::too_many_arguments)]
+pub fn closed_trial(
     client: &ServedClient,
     queries: &[Query],
     model: ProximityModel,
     window: usize,
     length: Duration,
-    trials: u32,
+    next: &mut usize,
     sample: &[usize],
-) -> ClosedLoopRun {
-    let mut run = ClosedLoopRun {
-        completed: 0,
-        failed: 0,
-        rates: Vec::new(),
-        p50s: Vec::new(),
-        sampled: Vec::new(),
-    };
+    run: &mut ClosedLoopRun,
+) {
     let mut pending: VecDeque<(usize, Instant, Ticket)> = VecDeque::with_capacity(window);
     let mut latency_ms: Vec<f64> = Vec::new();
-    let mut submitted = 0usize;
-    let take =
-        |run: &mut ClosedLoopRun, latency_ms: &mut Vec<f64>, n, sent: Instant, reply: Reply| {
-            latency_ms.push(sent.elapsed().as_secs_f64() * 1e3);
-            match reply.outcome {
-                Outcome::Done(result) => {
-                    run.completed += 1;
-                    if sample.binary_search(&n).is_ok() {
-                        run.sampled.push((n % queries.len(), result.items));
-                    }
-                }
-                _ => run.failed += 1,
-            }
-        };
-    for _ in 0..trials {
-        let start = Instant::now();
-        let completed_before = run.completed;
-        loop {
-            while pending.len() < window && start.elapsed() < length / trials {
-                let q = &queries[submitted % queries.len()];
-                let ticket = client.submit(
-                    QueryRequest::from_query(q.clone())
-                        .with_model(model)
-                        .without_deadline(),
-                );
-                pending.push_back((submitted, Instant::now(), ticket));
-                submitted += 1;
-            }
-            // Block on the oldest request, then collect whatever else has
-            // completed meanwhile.
-            let Some((n, sent, ticket)) = pending.pop_front() else {
-                break;
-            };
-            take(&mut run, &mut latency_ms, n, sent, ticket.wait());
-            let mut still = VecDeque::with_capacity(window);
-            for (n, sent, mut ticket) in pending.drain(..) {
-                match ticket.try_take() {
-                    Some(reply) => take(&mut run, &mut latency_ms, n, sent, reply),
-                    None => still.push_back((n, sent, ticket)),
+    let mut completed = 0u64;
+    let mut take = |n: usize, sent: Instant, reply: Reply| {
+        latency_ms.push(sent.elapsed().as_secs_f64() * 1e3);
+        match reply.outcome {
+            Outcome::Done(result) => {
+                completed += 1;
+                if sample.binary_search(&n).is_ok() {
+                    run.sampled.push((n % queries.len(), result.items));
                 }
             }
-            pending = still;
+            _ => run.failed += 1,
         }
-        let done = run.completed - completed_before;
-        run.rates.push(done as f64 / start.elapsed().as_secs_f64());
-        run.p50s.push(crate::stats::median(&mut latency_ms));
-        latency_ms.clear();
+    };
+    let start = Instant::now();
+    loop {
+        while pending.len() < window && start.elapsed() < length {
+            let q = QueryRequest::from_query(queries[*next % queries.len()].clone())
+                .with_model(model)
+                .without_deadline();
+            // Timed from before the submit: the woken shard may run the
+            // whole query before the submitting thread runs again.
+            let sent = Instant::now();
+            let ticket = client.submit(q);
+            pending.push_back((*next, sent, ticket));
+            *next += 1;
+        }
+        // Wait for the oldest request, then collect whatever else has
+        // completed meanwhile. A serial caller polls (yielding its CPU)
+        // rather than parks, so its latency holds no wake-up of the
+        // driver's own thread.
+        let Some((n, sent, mut ticket)) = pending.pop_front() else {
+            break;
+        };
+        let reply = if window == 1 {
+            loop {
+                match ticket.try_take() {
+                    Some(reply) => break reply,
+                    None => std::thread::yield_now(),
+                }
+            }
+        } else {
+            ticket.wait()
+        };
+        take(n, sent, reply);
+        let mut still = VecDeque::with_capacity(window);
+        for (n, sent, mut ticket) in pending.drain(..) {
+            match ticket.try_take() {
+                Some(reply) => take(n, sent, reply),
+                None => still.push_back((n, sent, ticket)),
+            }
+        }
+        pending = still;
     }
-    run
+    run.completed += completed;
+    run.rates
+        .push(completed as f64 / start.elapsed().as_secs_f64());
+    run.p50s.push(crate::stats::median(&mut latency_ms));
 }
 
 /// What the closed-loop write burst observed.

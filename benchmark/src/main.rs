@@ -3,6 +3,7 @@
 //! ```text
 //! servebench --workload <hot_zipf|cold_sigma|live_durable> --seed <n>
 //!            --seconds <s> --trace <0|1> [--scale full|tiny] [--corrupt-reference]
+//!            [--phantom-ack]
 //! ```
 //!
 //! `--trace 0` drives a 2-shard `ServedClient` and prints the end-to-end
@@ -25,7 +26,7 @@ use friends_core::corpus::Corpus;
 use friends_core::live::DurabilityConfig;
 use friends_core::plan::QueryRequest;
 use friends_service::{SearchClient, ServedClient, ServiceConfig};
-use stats::{median, quantile, supports, windowed_quantile, Fingerprint};
+use stats::{median, quantile, supports, Fingerprint};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -37,15 +38,16 @@ use workload::{sample_indices, Inputs, Phases, Scale, Workload, SHARDS};
 const OUT_DIR: &str = ".servebench";
 
 /// Set-ups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 5;
+const SETUP_REPS: usize = 7;
 
 /// A run whose generator sent its reads later than this share of the
 /// latency limit at p99 measured the load generator, not the system: it
 /// is invalid, not slow.
 const LAG_P99_SHARE: f64 = 0.5;
 
-/// Closed-loop trials per run; `read_qps_max` is their median.
-const CLOSED_TRIALS: u32 = 5;
+/// Closed-loop capacity trials per run, and as many serial trials;
+/// `read_qps_max` and `read_serial_p50_ms` are medians over them.
+const CLOSED_TRIALS: u32 = 16;
 
 /// Sampled rankings checked against `ExactOnline` per phase.
 const OPEN_SAMPLE: usize = 160;
@@ -64,6 +66,9 @@ struct Args {
     trace: bool,
     scale: Scale,
     corrupt_reference: bool,
+    /// Test hook: count one more acknowledged write than the service
+    /// published, which the restart check must report as lost.
+    phantom_ack: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -73,10 +78,15 @@ fn parse_args() -> Result<Args, String> {
     let mut trace = None;
     let mut scale = Scale::Full;
     let mut corrupt_reference = false;
+    let mut phantom_ack = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "--corrupt-reference" {
             corrupt_reference = true;
+            continue;
+        }
+        if flag == "--phantom-ack" {
+            phantom_ack = true;
             continue;
         }
         let value = it.next().ok_or(format!("{flag} needs a value"))?;
@@ -119,6 +129,7 @@ fn parse_args() -> Result<Args, String> {
         trace: trace.ok_or("--trace is required")?,
         scale,
         corrupt_reference,
+        phantom_ack,
     })
 }
 
@@ -276,25 +287,46 @@ fn run_end_to_end(args: &Args, out: &Path) -> Report {
         &keep,
     );
     let settled = client.service().snapshot();
+    // Capacity and serial trials alternate, so a slow stretch of the
+    // machine hits both and neither reads one stretch alone. Each trial
+    // continues after the previous one's last query: no reply either
+    // times comes from a memo entry an earlier trial left.
     let closed_sample = sample_indices(inputs.closed.len(), CLOSED_SAMPLE, args.seed);
-    let closed = driver::closed_loop(
-        &client,
-        &inputs.closed,
-        w.model,
-        w.window,
-        phases.closed,
-        CLOSED_TRIALS,
-        &closed_sample,
-    );
-    let serial = driver::closed_loop(
-        &client,
-        &inputs.closed,
-        w.model,
-        1,
-        phases.serial,
-        CLOSED_TRIALS,
-        &[],
-    );
+    let mut next = 0;
+    let mut closed = driver::ClosedLoopRun::default();
+    let mut serial = driver::ClosedLoopRun::default();
+    let (mut serial_memo, mut serial_coalesced) = (0, 0);
+    let mut cpu_us_per_query = Vec::with_capacity(CLOSED_TRIALS as usize);
+    for _ in 0..CLOSED_TRIALS {
+        let (cpu, done) = (stats::process_cpu_seconds(), closed.completed);
+        driver::closed_trial(
+            &client,
+            &inputs.closed,
+            w.model,
+            w.window,
+            phases.closed / CLOSED_TRIALS,
+            &mut next,
+            &closed_sample,
+            &mut closed,
+        );
+        cpu_us_per_query.push(
+            (stats::process_cpu_seconds() - cpu) * 1e6 / (closed.completed - done).max(1) as f64,
+        );
+        let before = client.stats().totals();
+        driver::closed_trial(
+            &client,
+            &inputs.closed,
+            w.model,
+            1,
+            phases.serial / CLOSED_TRIALS,
+            &mut next,
+            &closed_sample,
+            &mut serial,
+        );
+        let after = client.stats().totals();
+        serial_memo += after.result_served - before.result_served;
+        serial_coalesced += after.coalesced - before.coalesced;
+    }
     let burst = w
         .writes
         .map(|_| driver::write_burst(&client, &inputs.burst, phases.burst));
@@ -305,8 +337,7 @@ fn run_end_to_end(args: &Args, out: &Path) -> Report {
         .iter()
         .filter(|r| r.scheduled >= phases.warmup)
         .collect();
-    // In schedule order, for the windowed percentiles.
-    let latency: Vec<f64> = measured.iter().map(|r| ms(r.latency)).collect();
+    let mut latency: Vec<f64> = measured.iter().map(|r| ms(r.latency)).collect();
     let read_failed = measured.iter().filter(|r| !r.ok).count() as u64;
     let full = args.scale == Scale::Full;
     if full && !supports(latency.len(), 0.99) {
@@ -315,10 +346,13 @@ fn run_end_to_end(args: &Args, out: &Path) -> Report {
             latency.len()
         ));
     }
-    report.extra("read_p50_ms", median(&mut latency.clone()), "ms");
-    report.extra("read_p99_ms", windowed_quantile(&latency, 0.99), "ms");
-    report.metric("read_qps_max", median(&mut closed.rates.clone()), "1/s");
-    report.metric("read_serial_p50_ms", median(&mut serial.p50s.clone()), "ms");
+    report.extra("read_p50_ms", median(&mut latency), "ms");
+    report.extra("read_p99_ms", quantile(&mut latency, 0.99), "ms");
+    report.extra("read_qps_max", median(&mut closed.rates.clone()), "1/s");
+    report.extra("read_serial_p50_ms", median(&mut serial.p50s.clone()), "ms");
+    report.metric("read_cpu_us_per_query", median(&mut cpu_us_per_query), "us");
+    report.extra("serial.memo_served", serial_memo as f64, "count");
+    report.extra("serial.coalesced", serial_coalesced as f64, "count");
     report.extra(
         "read_failed_frac",
         read_failed as f64 / measured.len().max(1) as f64,
@@ -365,7 +399,7 @@ fn run_end_to_end(args: &Args, out: &Path) -> Report {
     }
 
     check_open_loop(&mut report.checks, w, &inputs, &open, &corpus, args.seed);
-    for (qi, ranking) in &closed.sampled {
+    for (qi, ranking) in closed.sampled.iter().chain(&serial.sampled) {
         report.checks.compare(
             "closed-loop read",
             &settled,
@@ -382,7 +416,7 @@ fn run_end_to_end(args: &Args, out: &Path) -> Report {
             client,
             &corpus,
             dir,
-            burst.last_epoch,
+            burst.last_epoch + u64::from(args.phantom_ack),
             &inputs,
             args.seed,
         );
@@ -532,7 +566,8 @@ fn main() -> ExitCode {
             eprintln!("servebench: {e}");
             eprintln!(
                 "usage: servebench --workload <hot_zipf|cold_sigma|live_durable> --seed <n> \
-                 --seconds <s> --trace <0|1> [--scale full|tiny] [--corrupt-reference]"
+                 --seconds <s> --trace <0|1> [--scale full|tiny] [--corrupt-reference] \
+                 [--phantom-ack]"
             );
             return ExitCode::from(EXIT_USAGE);
         }

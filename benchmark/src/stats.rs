@@ -21,28 +21,6 @@ pub fn median(values: &mut [f64]) -> f64 {
     quantile(values, 0.5)
 }
 
-/// The `q`-quantile of time-ordered `values`, robust to a stall that
-/// hits one stretch of the run: the values are cut into the most
-/// consecutive windows that each still support the quantile (ten values
-/// beyond it), and the median of the windows' quantiles is returned. With
-/// too few values for two windows this is the plain quantile.
-pub fn windowed_quantile(values: &[f64], q: f64) -> f64 {
-    let per_window = (10.0 / (1.0 - q)).ceil() as usize;
-    let windows = (values.len() / per_window.max(1)).max(1);
-    let size = values.len() / windows;
-    let mut per: Vec<f64> = (0..windows)
-        .map(|w| {
-            let end = if w + 1 == windows {
-                values.len()
-            } else {
-                (w + 1) * size
-            };
-            quantile(&mut values[w * size..end].to_vec(), q)
-        })
-        .collect();
-    median(&mut per)
-}
-
 /// Whether a sample of `n` values has at least ten values beyond its
 /// `q`-quantile, the least a reported tail percentile may rest on.
 pub fn supports(n: usize, q: f64) -> bool {
@@ -92,6 +70,32 @@ impl Fingerprint {
     }
 }
 
+/// CPU time all of this process's threads have used, in seconds
+/// (`CLOCK_PROCESS_CPUTIME_ID`; NaN if the clock cannot be read). Unlike
+/// wall time it leaves out the time threads waited for a CPU that another
+/// process held.
+pub fn process_cpu_seconds() -> f64 {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable timespec (the 64-bit Linux layout)
+    // for the whole call, and the clock id is a valid constant.
+    if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
+        return f64::NAN;
+    }
+    ts.tv_sec as f64 + ts.tv_nsec as f64 * 1e-9
+}
+
 /// The process's peak resident set (`VmHWM`) in MiB, or 0.0 where
 /// `/proc` is unavailable.
 pub fn peak_rss_mb() -> f64 {
@@ -120,13 +124,20 @@ mod tests {
     }
 
     #[test]
-    fn windowed_quantile_shrugs_off_one_bad_window() {
-        let mut v: Vec<f64> = (0..3000).map(|i| (i % 100) as f64).collect();
-        assert_eq!(windowed_quantile(&v, 0.5), 49.5);
-        // A stall in the first window moves its p99 only.
-        v[..100].iter_mut().for_each(|x| *x = 1e6);
-        assert!(windowed_quantile(&v, 0.99) < 100.0);
-        assert!(quantile(&mut v.clone(), 0.99) > 1e5);
+    fn process_cpu_time_counts_work_not_sleep() {
+        let start = process_cpu_seconds();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        let slept = process_cpu_seconds() - start;
+        let mut x = black_box(1u64);
+        for i in 0..20_000_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(black_box(i));
+        }
+        black_box(x);
+        let worked = process_cpu_seconds() - start - slept;
+        assert!(slept < 0.02, "{slept}");
+        assert!(worked > 0.0, "{worked}");
     }
 
     #[test]

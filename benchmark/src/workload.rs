@@ -82,7 +82,7 @@ pub const WORKLOADS: [Workload; 3] = [
         model: ProximityModel::WeightedDecay { alpha: 0.5 },
         seeker_theta: 0.0,
         read_rate: 100.0,
-        deadline: Duration::from_millis(250),
+        deadline: Duration::from_millis(1000),
         memo: 0,
         window: 32,
         writes: None,
@@ -94,7 +94,7 @@ pub const WORKLOADS: [Workload; 3] = [
         model: ProximityModel::WeightedDecay { alpha: 0.5 },
         seeker_theta: 1.1,
         read_rate: 100.0,
-        deadline: Duration::from_millis(250),
+        deadline: Duration::from_millis(1000),
         memo: 0,
         window: 32,
         writes: Some(Writes {
@@ -155,9 +155,9 @@ impl Phases {
     pub fn split(total: Duration, writes: bool) -> Phases {
         let s = total.as_secs_f64();
         let (open, closed, serial, burst) = if writes {
-            (0.65, 0.12, 0.08, 0.15)
+            (0.55, 0.15, 0.13, 0.17)
         } else {
-            (0.7, 0.18, 0.12, 0.0)
+            (0.55, 0.25, 0.2, 0.0)
         };
         Phases {
             warmup: Duration::from_secs_f64(s * open * 0.25),
@@ -173,10 +173,11 @@ impl Phases {
 pub struct Inputs {
     /// Open-loop reads with their scheduled offsets.
     pub reads: OpenLoopStream,
-    /// Queries the closed-loop and serial phases cycle through: Zipf(θ)
-    /// seekers with 2–3 uniform tags and no repeats, so each request
-    /// executes. Those phases measure execution; the open-loop stream
-    /// carries the workload's repeats to the memo and the coalescer.
+    /// Queries the closed-loop and serial phases walk through: Zipf(θ)
+    /// seekers with 2–3 uniform tags, no repeats and none of the open-loop
+    /// queries, so each request executes. Those phases measure execution;
+    /// the open-loop stream carries the workload's repeats to the memo and
+    /// the coalescer.
     pub closed: Vec<Query>,
     /// Paced mutation batches `(scheduled offset, batch)` of the open-loop
     /// phase.
@@ -213,7 +214,8 @@ impl Inputs {
             },
             seed ^ READS_DOMAIN,
         );
-        let closed = distinct_queries(corpus, w.seeker_theta, seed ^ CLOSED_DOMAIN);
+        let open: Vec<&Query> = reads.requests.iter().map(|r| &r.query).collect();
+        let closed = distinct_queries(corpus, w.seeker_theta, &open, seed ^ CLOSED_DOMAIN);
         let (writes, burst) = match w.writes {
             Some(spec) => paced_batches(w, &spec, corpus, phases, seed ^ WRITES_DOMAIN),
             None => (Vec::new(), Vec::new()),
@@ -228,12 +230,21 @@ impl Inputs {
 }
 
 /// [`Inputs::closed`]: distinct queries, Zipf(θ) seekers with 2–3
-/// uniform tags.
-fn distinct_queries(corpus: &Corpus, theta: f64, seed: u64) -> Vec<Query> {
+/// uniform tags, none equal to a query of `open` (so none finds an answer
+/// the open-loop phase left in the memo).
+fn distinct_queries(corpus: &Corpus, theta: f64, open: &[&Query], seed: u64) -> Vec<Query> {
     let seekers = Zipf::new(corpus.num_users() as usize, theta);
     let tags = corpus.store.num_tags();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen = HashSet::new();
+    let mut seen: HashSet<(u32, Vec<u32>)> = open
+        .iter()
+        .map(|q| {
+            let mut bag = q.tags.clone();
+            bag.sort_unstable();
+            bag.dedup();
+            (q.seeker, bag)
+        })
+        .collect();
     let mut queries = Vec::with_capacity(CLOSED_QUERIES);
     while queries.len() < CLOSED_QUERIES {
         let seeker = seekers.sample(&mut rng) as u32;

@@ -1,6 +1,6 @@
 //! The benchmark's own tests: tiny-corpus runs of every workload must
 //! print every metric `BENCHMARK.json` names, and a corrupted reference
-//! answer must fail the command.
+//! answer or a lost acknowledged write must fail the command.
 
 use std::process::{Command, Output};
 use std::sync::Mutex;
@@ -83,7 +83,15 @@ fn every_workload_prints_every_end_to_end_metric() {
         let out = run(workload, 100 + seed as u64, 0, &[]);
         assert_reports(&out, &names, workload);
         let text = stdout(&out);
-        let mut printed = vec!["read_p99_ms", "read_failed_frac", "driver.lag_ms_p99"];
+        let mut printed = vec![
+            "read_qps_max",
+            "read_serial_p50_ms",
+            "read_p50_ms",
+            "read_p99_ms",
+            "read_failed_frac",
+            "driver.lag_ms_p99",
+            "serial.memo_served",
+        ];
         if *workload == "live_durable" {
             printed.extend([
                 "write_p50_ms",
@@ -135,20 +143,38 @@ fn every_workload_prints_every_per_layer_metric() {
 
 #[test]
 fn a_corrupted_reference_answer_fails_the_command() {
-    for trace in [0, 1] {
-        let out = run("hot_zipf", 300, trace, &["--corrupt-reference"]);
-        assert_eq!(
-            out.status.code(),
-            Some(1),
-            "trace {trace}: {}",
-            stdout(&out)
-        );
-        assert!(
-            last_line(&out).starts_with("{\"correct\": false"),
-            "trace {trace}: {}",
-            last_line(&out)
-        );
+    for workload in ["hot_zipf", "live_durable"] {
+        for trace in [0, 1] {
+            let out = run(workload, 300, trace, &["--corrupt-reference"]);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{workload} trace {trace}: {}",
+                stdout(&out)
+            );
+            assert!(
+                last_line(&out).starts_with("{\"correct\": false"),
+                "{workload} trace {trace}: {}",
+                last_line(&out)
+            );
+        }
     }
+}
+
+#[test]
+fn a_lost_acknowledged_write_fails_the_command() {
+    let out = run("live_durable", 301, 0, &["--phantom-ack"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    assert!(
+        last_line(&out).starts_with("{\"correct\": false"),
+        "{}",
+        last_line(&out)
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("was acknowledged") && stderr.contains("last acknowledged write"),
+        "{stderr}"
+    );
 }
 
 #[test]
