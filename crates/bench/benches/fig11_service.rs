@@ -4,7 +4,8 @@
 //! Three ways to answer the same stream, per model:
 //!
 //! * `batch`   — the pre-PR path: `par_batch_with_cache`, a flat chunk
-//!   split over one shared sharded cache (deprecated, kept as baseline);
+//!   split over one shared sharded cache (kept as the baseline in
+//!   `friends_bench::batch`);
 //! * `service` — a transient planner-backed `ServedClient`:
 //!   seeker-affinity shard routing, batched dispatch with
 //!   duplicate-request coalescing, private admission-controlled caches;
@@ -16,12 +17,9 @@
 //! `fig11_service_gate` test pins the serving-scale speedup through the
 //! client API.
 
-// The `batch` arm IS the deprecated path — this kernel measures it.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use friends_bench::batch::par_batch_with_cache;
 use friends_bench::serving_corpus;
-use friends_core::batch::par_batch_with_cache;
 use friends_core::cache::ProximityCache;
 use friends_core::processors::ExactOnline;
 use friends_core::proximity::ProximityModel;

@@ -15,13 +15,9 @@
 //! `report --exp fig9` prints the same comparison with throughput numbers
 //! and the correctness cross-check.
 
-// The dense/workspace/cached arms ARE the deprecated paths — this kernel
-// exists to measure them against the client.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use friends_bench::batch::{par_batch, par_batch_with_cache};
 use friends_bench::{zipf_seeker_workload, DenseMaterializeExact};
-use friends_core::batch::{par_batch, par_batch_with_cache};
 use friends_core::cache::ProximityCache;
 use friends_core::corpus::Corpus;
 use friends_core::processors::ExactOnline;

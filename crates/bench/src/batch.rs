@@ -1,15 +1,17 @@
-//! Parallel batch query execution.
+//! The flat chunk-split batch executor, kept as a benchmark baseline (like
+//! [`crate::DenseMaterializeExact`]): the fig9 and fig11 gates measure the
+//! client paths against it. Production batches go through a
+//! `friends_service::SearchClient`.
 //!
 //! Processors hold per-query scratch state (`&mut self`), so the natural
 //! parallelism unit is *one processor instance per worker thread*. The
 //! executor chunks a workload, builds a processor in each worker via the
 //! caller's factory, and writes results into pre-allocated per-chunk output
-//! slots — no shared mutex, no post-hoc reordering — the pattern a serving
-//! deployment of this system would use.
+//! slots — no shared mutex, no post-hoc reordering.
 
-use crate::cache::ProximityCache;
-use crate::corpus::SearchResult;
-use crate::processors::Processor;
+use friends_core::cache::ProximityCache;
+use friends_core::corpus::SearchResult;
+use friends_core::processors::Processor;
 use friends_data::queries::Query;
 use std::sync::Arc;
 
@@ -20,10 +22,6 @@ use std::sync::Arc;
 /// per-processor build cost (e.g. [`crate::processors::ClusterIndex`]'s
 /// sketches) is paid `threads` times — share prebuilt indexes through the
 /// factory closure when that matters.
-#[deprecated(
-    note = "drive batches through a `SearchClient` (`friends_service::DirectClient`); \
-            the client path is pinned byte-identical to this one by the client proptests"
-)]
 pub fn par_batch<P, F>(queries: &[Query], threads: usize, factory: F) -> Vec<SearchResult>
 where
     P: Processor,
@@ -36,12 +34,6 @@ where
 /// factory: every worker's processor reads and feeds the same cache, so a
 /// skewed workload pays each `(seeker, model)` materialization once across
 /// the whole batch instead of once per worker per occurrence.
-#[deprecated(
-    note = "drive batches through a `SearchClient` (`friends_service::DirectClient`, which owns \
-            the shared cache); the client path is pinned byte-identical to this one by the \
-            client proptests"
-)]
-#[allow(deprecated)]
 pub fn par_batch_with_cache<P, F>(
     queries: &[Query],
     threads: usize,
@@ -85,12 +77,11 @@ where
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated wrappers are exactly what this suite pins
 mod tests {
     use super::*;
-    use crate::corpus::Corpus;
-    use crate::processors::{ExactOnline, ExpansionConfig, FriendExpansion};
-    use crate::proximity::ProximityModel;
+    use friends_core::corpus::Corpus;
+    use friends_core::processors::{ExactOnline, ExpansionConfig, FriendExpansion};
+    use friends_core::proximity::ProximityModel;
     use friends_data::datasets::{DatasetSpec, Scale};
     use friends_data::queries::{QueryParams, QueryWorkload};
 

@@ -783,7 +783,7 @@ pub fn table3(profile: Profile) -> String {
 /// workspace path), a cached `DirectClient` (shared seeker-proximity
 /// cache), and a [`ServedClient`] over the seeker-affinity broker. Client
 /// pools are standing (started outside the timed region — that is the
-/// point of the API); the deprecated baseline pays its per-batch thread
+/// point of the API); the flat-split baseline pays its per-batch thread
 /// spawn as it always did. Rankings are asserted identical across all four
 /// paths while measuring.
 pub fn fig9(profile: Profile) -> ExperimentOutput {
@@ -831,9 +831,8 @@ pub fn fig9(profile: Profile) -> ExperimentOutput {
     // histograms merge into one aggregate for the latency table.
     let mut cached_lat = StageSnapshot::default();
     for model in models {
-        #[allow(deprecated)] // the pre-refactor baseline the figure measures
         let (dense_r, dense_d) = timed(|| {
-            friends_core::batch::par_batch(&w.queries, threads, || {
+            crate::batch::par_batch(&w.queries, threads, || {
                 crate::DenseMaterializeExact::new(&c, model)
             })
         });
@@ -1150,7 +1149,7 @@ pub fn fig10(profile: Profile) -> ExperimentOutput {
 // ----------------------------------------------------------------- Fig 11
 
 /// Fig 11: the serving tier — a [`ServedClient`] (seeker-affinity broker
-/// with coalescing and result memoization) vs the deprecated flat
+/// with coalescing and result memoization) vs the flat
 /// `par_batch_with_cache` chunk split, on a Zipf(1.1) request stream with
 /// per-seeker repeat queries (the [`friends_data::requests`] traffic shape).
 /// The service coalesces duplicate in-flight requests, serves cross-cycle
@@ -1202,9 +1201,8 @@ pub fn fig11(profile: Profile) -> ExperimentOutput {
     ] {
         // Pre-PR baseline: flat chunk split over a shared sharded cache.
         let cache = Arc::new(ProximityCache::new(c.num_users() as usize));
-        #[allow(deprecated)] // the comparison anchor the figure measures
         let (base_r, base_d) = timed(|| {
-            friends_core::batch::par_batch_with_cache(&queries, workers, &cache, |shared| {
+            crate::batch::par_batch_with_cache(&queries, workers, &cache, |shared| {
                 ExactOnline::with_cache(&c, model, shared)
             })
         });

@@ -2,6 +2,7 @@
 //! that regenerates every table and figure of the evaluation (see
 //! `EXPERIMENTS.md` for the experiment ↔ code index).
 
+pub mod batch;
 pub mod experiments;
 pub mod explain;
 
@@ -642,7 +643,6 @@ mod tests {
     /// for CI; run it via `cargo test --release -p friends-bench -- --ignored`.
     #[test]
     #[ignore]
-    #[allow(deprecated)] // the gate measures the legacy paths against each other
     fn fig9_speedup_gate() {
         let _serial = serialize_timing_gate();
         use friends_core::processors::ExactOnline;
@@ -668,7 +668,7 @@ mod tests {
             let best = (0..3)
                 .map(|_| {
                     let (_, dense) = timed(|| {
-                        friends_core::batch::par_batch(&w.queries, 4, || {
+                        crate::batch::par_batch(&w.queries, 4, || {
                             DenseMaterializeExact::new(&corpus, model)
                         })
                     });
@@ -676,7 +676,7 @@ mod tests {
                         corpus.num_users() as usize,
                     ));
                     let (_, cached) = timed(|| {
-                        friends_core::batch::par_batch_with_cache(&w.queries, 4, &cache, |shared| {
+                        crate::batch::par_batch_with_cache(&w.queries, 4, &cache, |shared| {
                             ExactOnline::with_cache(&corpus, model, shared)
                         })
                     });
@@ -801,10 +801,9 @@ mod tests {
     /// `cargo test --release -p friends-bench -- --ignored`).
     #[test]
     #[ignore]
-    #[allow(deprecated)] // the baseline side is the deprecated batch path
     fn fig11_service_gate() {
         let _serial = serialize_timing_gate();
-        use friends_core::batch::par_batch_with_cache;
+        use crate::batch::par_batch_with_cache;
         use friends_core::cache::ProximityCache;
         use friends_core::plan::QueryRequest;
         use friends_core::processors::ExactOnline;

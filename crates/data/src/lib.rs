@@ -41,7 +41,7 @@ pub type TagId = u32;
 
 /// A single social annotation: `user` tagged `item` with `tag`, with an
 /// application-level weight (rating, confidence, frequency).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Tagging {
     pub user: UserId,
     pub item: ItemId,

@@ -10,10 +10,9 @@
 //! weights (repeated annotation = stronger signal).
 
 use crate::{ItemId, TagId, Tagging, UserId};
-use serde::{Deserialize, Serialize};
 
 /// Immutable social-tagging dataset.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TagStore {
     num_users: u32,
     num_items: u32,
@@ -211,7 +210,7 @@ impl TagStore {
 }
 
 /// Dataset-level statistics (Table 1 rows).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StoreStats {
     pub users: u32,
     pub items: u32,

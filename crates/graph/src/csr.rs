@@ -5,8 +5,6 @@
 //! neighbor scans and `O(log deg)` edge lookups (adjacency lists are kept
 //! sorted by target id).
 
-use serde::{Deserialize, Serialize};
-
 /// Node identifier. `u32` bounds graphs at ~4.2 billion nodes, which is far
 /// beyond the scale of the reproduction while halving index memory compared
 /// to `usize` on 64-bit targets.
@@ -18,7 +16,7 @@ pub type NodeId = u32;
 /// `(u, v)` and `(v, u)` so that neighbor scans never need a reverse index.
 /// Adjacency lists are sorted by target id; parallel edges are merged at
 /// build time (keeping the maximum weight) and self-loops are dropped.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CsrGraph {
     /// `offsets[u] .. offsets[u + 1]` delimits `u`'s slice in `targets`.
     offsets: Vec<usize>,

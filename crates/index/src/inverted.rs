@@ -3,10 +3,9 @@
 use crate::postings::{PostingConfig, PostingList};
 use crate::topk::ScoreSortedList;
 use crate::{DocId, Score, TermId};
-use serde::{Deserialize, Serialize};
 
 /// Build-time options for an [`InvertedIndex`].
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct IndexConfig {
     /// Posting-list configuration applied to every term.
     pub postings: PostingConfig,
@@ -14,7 +13,7 @@ pub struct IndexConfig {
 
 /// An immutable inverted index: `term → PostingList` (doc-sorted) plus a
 /// lazily built score-sorted view for TA-style access.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InvertedIndex {
     config: IndexConfig,
     lists: Vec<PostingList>,

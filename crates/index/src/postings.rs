@@ -8,14 +8,13 @@
 
 use crate::varint;
 use crate::{DocId, Score};
-use serde::{Deserialize, Serialize};
 
 /// Default number of entries per block. 128 balances skip granularity
 /// against decode overhead, matching common practice (e.g. Lucene).
 pub const DEFAULT_BLOCK_LEN: usize = 128;
 
 /// Document-id storage format.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Encoding {
     /// 4 bytes per doc id; fastest decode.
     Raw,
@@ -24,7 +23,7 @@ pub enum Encoding {
 }
 
 /// Build-time options for a posting list.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PostingConfig {
     pub encoding: Encoding,
     /// Entries per block (must be ≥ 1).
@@ -45,7 +44,7 @@ impl Default for PostingConfig {
 }
 
 /// Per-block skip entry.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 struct BlockMeta {
     first_doc: DocId,
     last_doc: DocId,
@@ -71,7 +70,7 @@ struct BlockMeta {
 }
 
 /// An immutable posting list sorted by document id.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PostingList {
     config: PostingConfig,
     len: usize,

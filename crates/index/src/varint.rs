@@ -4,18 +4,16 @@
 //! ids, then varint-encode the deltas: small gaps — the common case for
 //! popular tags — take one byte instead of four.
 
-use bytes::{Buf, BufMut};
-
 /// Appends `v` to `out` as an unsigned LEB128 varint (1–5 bytes for `u32`).
 pub fn write_u32(out: &mut Vec<u8>, mut v: u32) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            out.put_u8(byte);
+            out.push(byte);
             return;
         }
-        out.put_u8(byte | 0x80);
+        out.push(byte | 0x80);
     }
 }
 
@@ -25,10 +23,10 @@ pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            out.put_u8(byte);
+            out.push(byte);
             return;
         }
-        out.put_u8(byte | 0x80);
+        out.push(byte | 0x80);
     }
 }
 
@@ -39,10 +37,8 @@ pub fn read_u32(buf: &mut &[u8]) -> Option<u32> {
     let mut result: u32 = 0;
     let mut shift = 0u32;
     for _ in 0..5 {
-        if !buf.has_remaining() {
-            return None;
-        }
-        let byte = buf.get_u8();
+        let (&byte, rest) = buf.split_first()?;
+        *buf = rest;
         result |= ((byte & 0x7F) as u32) << shift;
         if byte & 0x80 == 0 {
             return Some(result);
@@ -57,10 +53,8 @@ pub fn read_u64(buf: &mut &[u8]) -> Option<u64> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
     for _ in 0..10 {
-        if !buf.has_remaining() {
-            return None;
-        }
-        let byte = buf.get_u8();
+        let (&byte, rest) = buf.split_first()?;
+        *buf = rest;
         result |= ((byte & 0x7F) as u64) << shift;
         if byte & 0x80 == 0 {
             return Some(result);

@@ -14,7 +14,6 @@ use friends_core::live::{
 use friends_core::plan::{
     strategy_index, PlanCounters, PlannedExecutor, Planner, ProcessorRegistry, STRATEGY_LABELS,
 };
-use friends_core::processors::{ExactOnline, GlobalBoundTA, Processor, ScoringStrategy};
 use friends_core::proximity::{ProximityModel, ProximityVec, SigmaBounds, SigmaWorkspace};
 use friends_core::trace::{QueryTrace, TraceCollector, TraceConfig, TraceOutcome, TraceRecord};
 use friends_data::mutations::MutationBatch;
@@ -144,8 +143,12 @@ pub struct ServiceConfig {
     pub default_deadline: Option<Duration>,
     /// Most requests drained into one dispatch cycle.
     pub max_batch: usize,
-    /// Whether duplicate in-flight `(query, model, strategy)` requests
-    /// are executed once and fanned out. Disabling is only useful for
+    /// How a drained batch is grouped. With `true`, duplicate in-flight
+    /// requests (same query, model, strategy, processor override and
+    /// effective σ bounds) form one group that executes once and fans
+    /// out; with `false`, every request is a group of one. Both modes run
+    /// each group through the same lifecycle (shedding, memoization,
+    /// contained execution, replies). Disabling is only useful for
     /// measurement.
     pub coalesce: bool,
     /// Overload controller policy; `None` (the default) disables degraded
@@ -218,114 +221,6 @@ impl ServiceConfig {
     }
 }
 
-/// What a worker hands the processor factory besides the corpus: the shard
-/// index and the shard's private cache.
-pub struct ShardContext {
-    pub shard: usize,
-    /// The shard-private cache. Single-owner by construction (only this
-    /// worker ever touches it), so every access is an uncontended lock.
-    pub cache: Arc<ProximityCache>,
-}
-
-/// Builds one processor per worker, borrowing the service-owned corpus.
-/// Blanket-implemented for closures of the matching shape; see
-/// [`exact_factory`] / [`global_bound_factory`] for ready-made ones.
-///
-/// This is the *fixed-factory* form — one processor type and model for the
-/// whole service. The planner-backed form
-/// ([`FriendsService::start_planned`], what
-/// [`crate::ServedClient`] uses) instead chooses a registry entry per
-/// request.
-pub trait ProcessorFactory:
-    for<'c> Fn(&'c Corpus, ShardContext) -> Box<dyn Processor + 'c> + Send + Sync + 'static
-{
-}
-
-impl<T> ProcessorFactory for T where
-    T: for<'c> Fn(&'c Corpus, ShardContext) -> Box<dyn Processor + 'c> + Send + Sync + 'static
-{
-}
-
-/// Factory for [`ExactOnline`] under `model`, wired to the shard cache.
-pub fn exact_factory(model: ProximityModel) -> impl ProcessorFactory {
-    move |corpus: &Corpus, ctx: ShardContext| {
-        Box::new(ExactOnline::with_cache(corpus, model, ctx.cache)) as Box<dyn Processor + '_>
-    }
-}
-
-/// Factory for [`GlobalBoundTA`] under `model`, wired to the shard cache.
-pub fn global_bound_factory(model: ProximityModel) -> impl ProcessorFactory {
-    move |corpus: &Corpus, ctx: ShardContext| {
-        Box::new(GlobalBoundTA::with_cache(corpus, model, ctx.cache)) as Box<dyn Processor + '_>
-    }
-}
-
-/// What a worker executes requests with: either the fixed processor its
-/// factory built, or a planned executor choosing per request.
-enum ShardEngine<'c> {
-    Fixed(Box<dyn Processor + 'c>),
-    Planned(PlannedExecutor<'c>),
-}
-
-impl ShardEngine<'_> {
-    fn run(
-        &mut self,
-        query: &Query,
-        model: Option<ProximityModel>,
-        strategy: ScoringStrategy,
-        processor: Option<&'static str>,
-        bounds: SigmaBounds,
-    ) -> SearchResult {
-        match self {
-            // Fixed engines ignore the model/processor fields: their
-            // processor was chosen (with its model) at start.
-            ShardEngine::Fixed(p) => {
-                p.set_bounds(bounds);
-                p.set_strategy(strategy);
-                p.query(query)
-            }
-            ShardEngine::Planned(e) => e.execute(
-                query,
-                model.unwrap_or(ProximityModel::Global),
-                strategy,
-                processor,
-                bounds,
-            ),
-        }
-    }
-
-    /// The planner decision this engine would make for the request —
-    /// `(processor name, strategy label)` — recovered on the trace cold
-    /// path (planning is deterministic and cheap, so re-planning beats
-    /// threading the decision through the hot path). `None` for fixed
-    /// engines, which never plan.
-    fn plan_of(
-        &self,
-        query: &Query,
-        model: Option<ProximityModel>,
-        strategy: ScoringStrategy,
-        processor: Option<&'static str>,
-        bounds: SigmaBounds,
-    ) -> Option<(&'static str, &'static str)> {
-        match self {
-            ShardEngine::Fixed(_) => None,
-            ShardEngine::Planned(e) => {
-                let plan = e.plan(
-                    query,
-                    model.unwrap_or(ProximityModel::Global),
-                    strategy,
-                    processor,
-                    bounds,
-                );
-                Some((
-                    plan.processor_name,
-                    STRATEGY_LABELS[strategy_index(plan.strategy)],
-                ))
-            }
-        }
-    }
-}
-
 /// Stable label of an injected fault for trace events.
 fn fault_name(kind: FaultKind) -> &'static str {
     match kind {
@@ -333,41 +228,6 @@ fn fault_name(kind: FaultKind) -> &'static str {
         FaultKind::Delay(_) => "delay",
         FaultKind::Error => "error",
     }
-}
-
-/// Builds and retains this request's trace when the collector wants one —
-/// the cold path guard every reply site goes through. Returns the `Arc`
-/// the [`Reply`] carries; `None` (the common case) costs nothing beyond
-/// the `wants` check.
-#[allow(clippy::too_many_arguments)]
-fn maybe_trace(
-    state: &ShardState,
-    shard: usize,
-    query: &Query,
-    job: &Job,
-    sampled: bool,
-    outcome: TraceOutcome,
-    queue_wait: Duration,
-    raced: Option<RacedMutation>,
-    fill: impl FnOnce(&mut TraceRecord),
-) -> Option<Arc<QueryTrace>> {
-    let e2e = job.submitted.elapsed();
-    let missed = outcome == TraceOutcome::DeadlineMissed;
-    if !state.traces.wants(job.trace, sampled, e2e, missed) {
-        return None;
-    }
-    let mut rec = TraceRecord::new(shard, query, job.tag, job.trace);
-    rec.sampled = sampled;
-    rec.outcome = outcome;
-    rec.e2e = e2e;
-    rec.queue_wait = queue_wait;
-    if let Some(m) = raced {
-        rec.mutation = Some((m.epoch, m.mutations));
-        rec.invalidated = Some((m.prox_invalidated, m.results_invalidated));
-        rec.wal = m.wal.map(|w| (w.bytes, w.synced));
-    }
-    fill(&mut rec);
-    Some(state.traces.retain(rec))
 }
 
 /// What flows down a shard's queue: queries, or a mutation batch to apply
@@ -449,53 +309,18 @@ pub struct FriendsService {
 }
 
 impl FriendsService {
-    /// Starts `config.shards` workers over `corpus`. Each worker builds its
-    /// own processor through `factory` (one call per shard, so build cost —
-    /// e.g. `GlobalBoundTA`'s candidate lists — is paid per shard).
-    pub fn start<F: ProcessorFactory>(
-        corpus: Arc<Corpus>,
-        config: ServiceConfig,
-        factory: F,
-    ) -> Self {
-        let factory = Arc::new(factory);
-        Self::start_with(corpus, config, move |corpus, ctx, _state| {
-            ShardEngine::Fixed(factory(corpus, ctx))
-        })
-    }
-
-    /// Starts a **planner-backed** service: every request carries its own
-    /// proximity model (and optional strategy hint / processor override),
-    /// and each worker's [`PlannedExecutor`] maps it to a `registry` entry
-    /// via `planner`. This is the engine behind [`crate::ServedClient`];
-    /// planner decisions surface in [`crate::ShardStats::plans`].
-    pub fn start_planned(
+    /// Starts `config.shards` workers over `corpus`. Every request carries
+    /// its own proximity model (and optional strategy hint / processor
+    /// override), and each worker's [`PlannedExecutor`] maps it to a
+    /// `registry` entry via `planner`. This is the engine behind
+    /// [`crate::ServedClient`]; planner decisions surface in
+    /// [`crate::ShardStats::plans`].
+    pub fn start(
         corpus: Arc<Corpus>,
         config: ServiceConfig,
         registry: Arc<ProcessorRegistry>,
         planner: Planner,
     ) -> Self {
-        Self::start_with(corpus, config, move |corpus, ctx, state| {
-            ShardEngine::Planned(PlannedExecutor::new(
-                corpus,
-                Some(ctx.cache),
-                Arc::clone(&registry),
-                planner,
-                state
-                    .plans
-                    .as_ref()
-                    .map(Arc::clone)
-                    .expect("planned shards carry counters"),
-            ))
-        })
-    }
-
-    fn start_with<E>(corpus: Arc<Corpus>, config: ServiceConfig, make_engine: E) -> Self
-    where
-        E: for<'c> Fn(&'c Corpus, ShardContext, &ShardState) -> ShardEngine<'c>
-            + Send
-            + Sync
-            + 'static,
-    {
         // Recovery happens before any worker spawns: with durability
         // configured, the disk state (newest valid snapshot + WAL replay)
         // is newer truth than the `corpus` argument, which only seeds an
@@ -514,7 +339,6 @@ impl FriendsService {
         // on memory-only or freshly-seeded services).
         let corpus = live.snapshot();
         let shards = config.shards.max(1);
-        let make_engine = Arc::new(make_engine);
         let mut senders = Vec::with_capacity(shards);
         let mut states = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
@@ -536,13 +360,11 @@ impl FriendsService {
                     config.result_cache_policy,
                 ))
             });
-            // Counters are a few atomics; every shard gets a set (fixed
-            // engines simply never record into them).
-            let plans = Some(Arc::new(PlanCounters::default()));
+            let plans = Arc::new(PlanCounters::default());
             let traces = Arc::new(TraceCollector::new(shard, config.trace));
             let state = Arc::new(ShardState::new(Arc::clone(&cache), results, plans, traces));
             let corpus = Arc::clone(&corpus);
-            let make_engine = Arc::clone(&make_engine);
+            let registry = Arc::clone(&registry);
             let worker_state = Arc::clone(&state);
             let config = config.clone(); // per-worker copy (no longer Copy)
             let handle = std::thread::Builder::new()
@@ -568,21 +390,23 @@ impl FriendsService {
                     loop {
                         let next = {
                             let rebuild = || {
-                                let ctx = ShardContext {
-                                    shard,
-                                    cache: Arc::clone(&worker_state.cache),
-                                };
-                                make_engine(corpus.as_ref(), ctx, &worker_state)
+                                PlannedExecutor::new(
+                                    corpus.as_ref(),
+                                    Some(Arc::clone(&worker_state.cache)),
+                                    Arc::clone(&registry),
+                                    planner,
+                                    Arc::clone(&worker_state.plans),
+                                )
                             };
-                            worker_loop(
-                                &rebuild,
-                                &rx,
-                                &worker_state,
+                            let worker = Worker {
+                                engine: rebuild(),
+                                rebuild: &rebuild,
+                                state: &worker_state,
                                 shard,
-                                &config,
-                                &mut ctl,
-                                &mut raced,
-                            )
+                                config: &config,
+                                ctl: &mut ctl,
+                            };
+                            worker.serve_era(&rx, &mut raced)
                         };
                         match next {
                             Some(snapshot) => corpus = snapshot,
@@ -647,17 +471,7 @@ impl FriendsService {
             // than leaving the caller to block forever.
             state.depth.fetch_sub(1, Ordering::Relaxed);
             state.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Reply {
-                outcome: Outcome::Failed,
-                shard,
-                queue_wait: Duration::ZERO,
-                coalesced: false,
-                result_cached: false,
-                degraded: false,
-                residual: 0.0,
-                tag: request.tag,
-                trace: None,
-            });
+            let _ = tx.send(Reply::new(Outcome::Failed, shard, request.tag));
         }
         Ticket {
             shard,
@@ -666,35 +480,6 @@ impl FriendsService {
             tag: request.tag,
             stash: None,
         }
-    }
-
-    /// Floods every query in (affinity-routed), then collects replies in
-    /// input order — the serving-tier equivalent of
-    /// [`friends_core::batch::par_batch`].
-    pub fn submit_batch(&self, queries: &[Query]) -> Vec<Reply> {
-        let tickets: Vec<Ticket> = queries
-            .iter()
-            .map(|q| self.submit(Request::new(q.clone())))
-            .collect();
-        tickets.into_iter().map(Ticket::wait).collect()
-    }
-
-    /// [`FriendsService::submit_batch`] for deadline-free clients: unwraps
-    /// every reply into its [`SearchResult`].
-    ///
-    /// # Panics
-    /// Panics if a worker died mid-batch — batch clients submit without
-    /// deadlines ([`crate::request::Deadline::Unbounded`]), so requests are
-    /// never shed here.
-    pub fn run_batch(&self, queries: &[Query]) -> Vec<SearchResult> {
-        let tickets: Vec<Ticket> = queries
-            .iter()
-            .map(|q| self.submit(Request::new(q.clone()).without_deadline()))
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.wait().outcome.expect_done("run_batch"))
-            .collect()
     }
 
     /// Bumps every shard's result-cache epoch, logically dropping all
@@ -948,11 +733,21 @@ impl Drop for FriendsService {
 /// bits, strategy hint, processor override and **effective** σ-bounds bits
 /// (the job's own bounds after any controller tightening). Two jobs with
 /// equal keys are interchangeable executions; jobs at different degradation
-/// levels never coalesce and never share memoized rankings.
-fn group_key(job: &Job, query: Query) -> ResultKey {
+/// levels never coalesce and never share memoized rankings. The key takes
+/// ownership of the job's query (no clone): a group executes and traces
+/// from its key.
+fn group_key(job: &mut Job) -> ResultKey {
+    let query = std::mem::replace(
+        &mut job.query,
+        Query {
+            seeker: 0,
+            tags: Vec::new(),
+            k: 0,
+        },
+    );
     (
         query,
-        job.model.map(|m| m.key_bits()),
+        job.model.key_bits(),
         job.strategy,
         job.processor,
         job.bounds.key_bits(),
@@ -1028,226 +823,204 @@ impl WorkerCtl {
     }
 }
 
-/// One worker era: block for the first item, opportunistically drain up to
-/// `max_batch - 1` more, step the overload controller, dispatch the batch,
-/// repeat. `rebuild` re-creates the engine after a contained panic.
-///
-/// A [`WorkItem::Mutation`] is a **batch boundary**: draining stops at it,
-/// the queries drained before it dispatch under the era's snapshot, the
-/// worker sweeps its caches, acks, and returns the next snapshot — ending
-/// the era (the caller builds a fresh engine over it and re-enters).
-/// Returns `None` when the queue disconnects (shutdown).
-fn worker_loop<'c, R>(
-    rebuild: &R,
-    rx: &channel::Receiver<WorkItem>,
-    state: &ShardState,
-    shard: usize,
-    config: &ServiceConfig,
-    ctl: &mut WorkerCtl,
-    raced: &mut Option<RacedMutation>,
-) -> Option<Arc<Corpus>>
-where
-    R: Fn() -> ShardEngine<'c>,
-{
-    let mut engine = rebuild();
-    let mut batch: Vec<Job> = Vec::new();
-    let mut groups: HashMap<ResultKey, Vec<Job>> = HashMap::new();
-    loop {
-        let mut pending: Option<MutationJob> = None;
-        match rx.recv() {
-            Ok(WorkItem::Query(job)) => batch.push(job),
-            Ok(WorkItem::Mutation(m)) => pending = Some(m),
-            Err(channel::RecvError) => return None, // queue fully drained
-        }
-        if pending.is_none() {
-            while batch.len() < config.max_batch.max(1) {
-                match rx.try_recv() {
-                    Ok(WorkItem::Query(job)) => batch.push(job),
-                    Ok(WorkItem::Mutation(m)) => {
-                        pending = Some(m);
-                        break;
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-        if !batch.is_empty() {
-            let drained = batch.len();
-            let depth_after = state
-                .depth
-                .fetch_sub(drained, Ordering::Relaxed)
-                .saturating_sub(drained);
-            state.batches.fetch_add(1, Ordering::Relaxed);
-            state.max_batch.fetch_max(drained, Ordering::Relaxed);
-            if let Some(policy) = &config.overload {
-                ctl.observe_batch(policy, depth_after, &batch);
-            }
-            let started = Instant::now();
-            dispatch(
-                &mut engine,
-                rebuild,
-                &mut batch,
-                &mut groups,
-                state,
-                shard,
-                config,
-                ctl,
-                raced,
-            );
-            let per_job = started.elapsed().as_micros() as f64 / drained as f64;
-            ctl.ewma_job_us = if ctl.ewma_job_us == 0.0 {
-                per_job
-            } else {
-                0.75 * ctl.ewma_job_us + 0.25 * per_job
-            };
-        }
-        if let Some(m) = pending {
-            // Sweep-then-swap, in that order: the edited graph keeps its
-            // token, so any entry not swept here will keep hitting under
-            // the new snapshot (see `friends_core::live`).
-            let prox = state.cache.invalidate_affected(&m.prepared.touched_nodes);
-            let results = state
-                .results
-                .as_ref()
-                .map(|rc| {
-                    rc.invalidate_partial(&m.prepared.affected_seekers, &m.prepared.touched_tags)
-                })
-                .unwrap_or(0);
-            state
-                .mutations_applied
-                .fetch_add(m.prepared.mutations as u64, Ordering::Relaxed);
-            state.mutation_batches.fetch_add(1, Ordering::Relaxed);
-            state
-                .mutation_epoch
-                .store(m.prepared.epoch(), Ordering::Relaxed);
-            *raced = Some(RacedMutation {
-                epoch: m.prepared.epoch(),
-                mutations: m.prepared.mutations,
-                prox_invalidated: prox,
-                results_invalidated: results,
-                wal: m.wal,
-            });
-            let next = Arc::clone(&m.prepared.next);
-            let _ = m.ack.send((prox, results));
-            return Some(next);
-        }
-    }
+/// How one job of a group was answered: decides its counter, its trace
+/// annotations and its reply flags.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Answered {
+    /// Expired in the queue; never executed.
+    Shed,
+    /// Served from the result memo.
+    Memo,
+    /// Lost to an injected error or a contained panic.
+    Failed,
+    /// Rode the group's single execution; `coalesced` for every job but
+    /// the first.
+    Executed { coalesced: bool },
 }
 
-/// Runs one query inside the panic-containment region. `Err` means the
-/// engine panicked: its scratch state is suspect and the caller must
-/// rebuild before the next execution.
-fn run_contained(
-    engine: &mut ShardEngine<'_>,
-    query: &Query,
-    model: Option<ProximityModel>,
-    strategy: ScoringStrategy,
-    processor: Option<&'static str>,
-    bounds: SigmaBounds,
-    fault: Option<FaultKind>,
-) -> Result<SearchResult, ()> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        match fault {
-            Some(FaultKind::Panic) => panic!("injected fault: panic"),
-            Some(FaultKind::Delay(d)) => std::thread::sleep(d),
-            Some(FaultKind::Error) | None => {}
-        }
-        engine.run(query, model, strategy, processor, bounds)
-    }))
-    .map_err(drop)
-}
-
-/// Replies `Outcome::Failed` for one job and counts it. `fault` is the
-/// injected fault's label (or `None` for a real contained panic); `query`
-/// is passed separately because the coalescing path moves the query out of
-/// the job and into the group key.
-#[allow(clippy::too_many_arguments)]
-fn reply_failed(
-    job: &Job,
-    query: &Query,
-    state: &ShardState,
-    shard: usize,
+/// What every reply of one group shares.
+struct GroupCtx<'k> {
+    /// The group's query (owned by its key).
+    query: &'k Query,
+    /// Start of the dispatch cycle: queue wait ends here.
     started: Instant,
-    degraded: bool,
-    sampled: bool,
-    fault: Option<&'static str>,
-    bounds: SigmaBounds,
     raced: Option<RacedMutation>,
-) {
-    state.failed.fetch_add(1, Ordering::Relaxed);
-    let queue_wait = started - job.submitted;
-    let trace = maybe_trace(
-        state,
-        shard,
-        query,
-        job,
-        sampled,
-        TraceOutcome::Failed,
-        queue_wait,
-        raced,
-        |rec| {
-            rec.fault = fault;
-            if degraded {
-                rec.degraded = Some((bounds.max_radius, bounds.min_mass));
-            }
-        },
-    );
-    let _ = job.reply.send(Reply {
-        outcome: Outcome::Failed,
-        shard,
-        queue_wait,
-        coalesced: false,
-        result_cached: false,
-        degraded,
-        residual: 0.0,
-        tag: job.tag,
-        trace,
-    });
+    /// Label of the fault the group's execution attempt took, if any.
+    fault: Option<&'static str>,
 }
 
-/// Executes one drained batch: tighten bounds to the controller's level,
-/// group duplicates, shed expired jobs, serve memoized rankings, run each
-/// unique live query once (inside panic containment), fan results out.
-/// Execution order within a cycle follows the group map (not arrival
-/// order) — results are per-query deterministic either way, and replies
-/// route by ticket.
-#[allow(clippy::too_many_arguments)]
-fn dispatch<'c, R>(
-    engine: &mut ShardEngine<'c>,
-    rebuild: &R,
-    batch: &mut Vec<Job>,
-    groups: &mut HashMap<ResultKey, Vec<Job>>,
-    state: &ShardState,
+/// One worker era: the engine over the era's snapshot plus the per-worker
+/// state that outlives it.
+struct Worker<'a, 'c, R> {
+    engine: PlannedExecutor<'c>,
+    /// Re-creates the engine after a contained panic.
+    rebuild: &'a R,
+    state: &'a ShardState,
     shard: usize,
-    config: &ServiceConfig,
-    ctl: &mut WorkerCtl,
-    raced: &mut Option<RacedMutation>,
-) where
-    R: Fn() -> ShardEngine<'c>,
-{
-    let started = Instant::now();
-    // The mutation race marker sticks to exactly one dispatch cycle: the
-    // queries drained here were queued while the epoch changed under them.
-    let raced = raced.take();
-    groups.clear();
-    // Compose the controller's level bounds into each job. Deadline-free
-    // jobs are exempt: a caller that opted out of shedding opted out of
-    // approximation too, and keeps byte-identical exact answers.
-    if let Some(policy) = &config.overload {
-        if ctl.level > 0 {
-            let level_bounds = policy.bounds_for(ctl.level);
-            for job in batch.iter_mut() {
-                if job.deadline.is_some() {
-                    job.bounds = job.bounds.tighten(level_bounds);
+    config: &'a ServiceConfig,
+    ctl: &'a mut WorkerCtl,
+}
+
+impl<'c, R: Fn() -> PlannedExecutor<'c>> Worker<'_, 'c, R> {
+    /// Block for the first item, opportunistically drain up to
+    /// `max_batch - 1` more, step the overload controller, dispatch the
+    /// batch, repeat.
+    ///
+    /// A [`WorkItem::Mutation`] is a **batch boundary**: draining stops at
+    /// it, the queries drained before it dispatch under the era's snapshot,
+    /// the worker sweeps its caches, acks, and returns the next snapshot —
+    /// ending the era (the caller builds a fresh engine over it and
+    /// re-enters). Returns `None` when the queue disconnects (shutdown).
+    fn serve_era(
+        mut self,
+        rx: &channel::Receiver<WorkItem>,
+        raced: &mut Option<RacedMutation>,
+    ) -> Option<Arc<Corpus>> {
+        let state = self.state;
+        // Buffers reused across dispatch cycles: the drained batch, the
+        // duplicate groups and one group's unexpired jobs.
+        let mut batch: Vec<Job> = Vec::new();
+        let mut groups: HashMap<ResultKey, Vec<Job>> = HashMap::new();
+        let mut live: Vec<(Job, bool)> = Vec::new();
+        loop {
+            let mut pending: Option<MutationJob> = None;
+            match rx.recv() {
+                Ok(WorkItem::Query(job)) => batch.push(job),
+                Ok(WorkItem::Mutation(m)) => pending = Some(m),
+                Err(channel::RecvError) => return None, // queue fully drained
+            }
+            if pending.is_none() {
+                while batch.len() < self.config.max_batch.max(1) {
+                    match rx.try_recv() {
+                        Ok(WorkItem::Query(job)) => batch.push(job),
+                        Ok(WorkItem::Mutation(m)) => {
+                            pending = Some(m);
+                            break;
+                        }
+                        Err(_) => break,
+                    }
                 }
+            }
+            if !batch.is_empty() {
+                let drained = batch.len();
+                let depth_after = state
+                    .depth
+                    .fetch_sub(drained, Ordering::Relaxed)
+                    .saturating_sub(drained);
+                state.batches.fetch_add(1, Ordering::Relaxed);
+                state.max_batch.fetch_max(drained, Ordering::Relaxed);
+                if let Some(policy) = &self.config.overload {
+                    self.ctl.observe_batch(policy, depth_after, &batch);
+                }
+                let started = Instant::now();
+                // The mutation race marker sticks to exactly one dispatch
+                // cycle: the queries drained here were queued while the
+                // epoch changed under them.
+                self.dispatch(&mut batch, &mut groups, &mut live, raced.take());
+                let per_job = started.elapsed().as_micros() as f64 / drained as f64;
+                self.ctl.ewma_job_us = if self.ctl.ewma_job_us == 0.0 {
+                    per_job
+                } else {
+                    0.75 * self.ctl.ewma_job_us + 0.25 * per_job
+                };
+            }
+            if let Some(m) = pending {
+                // Sweep-then-swap, in that order: the edited graph keeps its
+                // token, so any entry not swept here will keep hitting under
+                // the new snapshot (see `friends_core::live`).
+                let prox = state.cache.invalidate_affected(&m.prepared.touched_nodes);
+                let results = state
+                    .results
+                    .as_ref()
+                    .map(|rc| {
+                        rc.invalidate_partial(
+                            &m.prepared.affected_seekers,
+                            &m.prepared.touched_tags,
+                        )
+                    })
+                    .unwrap_or(0);
+                state
+                    .mutations_applied
+                    .fetch_add(m.prepared.mutations as u64, Ordering::Relaxed);
+                state.mutation_batches.fetch_add(1, Ordering::Relaxed);
+                state
+                    .mutation_epoch
+                    .store(m.prepared.epoch(), Ordering::Relaxed);
+                *raced = Some(RacedMutation {
+                    epoch: m.prepared.epoch(),
+                    mutations: m.prepared.mutations,
+                    prox_invalidated: prox,
+                    results_invalidated: results,
+                    wal: m.wal,
+                });
+                let next = Arc::clone(&m.prepared.next);
+                let _ = m.ack.send((prox, results));
+                return Some(next);
             }
         }
     }
-    if !config.coalesce {
-        // Measurement mode: every job executes individually, reusing the
-        // drained buffer (no per-job wrappers). Memoization still applies —
-        // it is a different axis than coalescing.
-        for job in batch.drain(..) {
+
+    /// Executes one drained batch: tighten bounds to the controller's
+    /// level, then serve it group by group. With coalescing, duplicate jobs
+    /// share a group and execution order follows the group map (results
+    /// are per-query deterministic either way, and replies route by
+    /// ticket); without it, every job is a group of one, in arrival order.
+    fn dispatch(
+        &mut self,
+        batch: &mut Vec<Job>,
+        groups: &mut HashMap<ResultKey, Vec<Job>>,
+        live: &mut Vec<(Job, bool)>,
+        raced: Option<RacedMutation>,
+    ) {
+        let started = Instant::now();
+        // Compose the controller's level bounds into each job. Deadline-free
+        // jobs are exempt: a caller that opted out of shedding opted out of
+        // approximation too, and keeps byte-identical exact answers.
+        if let Some(policy) = &self.config.overload {
+            if self.ctl.level > 0 {
+                let level_bounds = policy.bounds_for(self.ctl.level);
+                for job in batch.iter_mut() {
+                    if job.deadline.is_some() {
+                        job.bounds = job.bounds.tighten(level_bounds);
+                    }
+                }
+            }
+        }
+        for mut job in batch.drain(..) {
+            let key = group_key(&mut job);
+            if self.config.coalesce {
+                groups.entry(key).or_default().push(job);
+            } else {
+                self.serve_group(live, key, [job], started, raced);
+            }
+        }
+        for (key, jobs) in groups.drain() {
+            self.serve_group(live, key, jobs, started, raced);
+        }
+    }
+
+    /// The request lifecycle of one group of interchangeable jobs: shed the
+    /// members that expired in the queue, answer the rest from the result
+    /// memo when possible, otherwise take the fault, execute the query once
+    /// inside panic containment, record its stages, fan the result out and
+    /// memoize it. `live` is the worker's reusable buffer for the group's
+    /// unexpired jobs (left empty).
+    fn serve_group(
+        &mut self,
+        live: &mut Vec<(Job, bool)>,
+        key: ResultKey,
+        jobs: impl IntoIterator<Item = Job>,
+        started: Instant,
+        raced: Option<RacedMutation>,
+    ) {
+        let state = self.state;
+        let mut group = GroupCtx {
+            query: &key.0,
+            started,
+            raced,
+            fault: None,
+        };
+        for job in jobs {
             // The head-sampling decision — tracing's only hot-path cost.
             let sampled = state.traces.should_sample();
             // Queue wait is a property of queuing: every dispatched job has
@@ -1256,500 +1029,197 @@ fn dispatch<'c, R>(
                 .latency
                 .record(Stage::QueueWait, started - job.submitted);
             if job.deadline.is_some_and(|d| started > d) {
-                state.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                let trace = maybe_trace(
-                    state,
-                    shard,
-                    &job.query,
-                    &job,
+                self.answer(
+                    &group,
+                    job,
                     sampled,
-                    TraceOutcome::DeadlineMissed,
-                    started - job.submitted,
-                    raced,
-                    |rec| rec.shed = true,
+                    Outcome::DeadlineMissed,
+                    Answered::Shed,
                 );
-                let _ = job.reply.send(Reply {
-                    outcome: Outcome::DeadlineMissed,
-                    shard,
-                    queue_wait: started - job.submitted,
-                    coalesced: false,
-                    result_cached: false,
-                    degraded: false,
-                    residual: 0.0,
-                    tag: job.tag,
-                    trace,
-                });
-                continue;
+            } else {
+                live.push((job, sampled));
             }
-            let degraded = !job.bounds.is_exact();
-            let memo = state.results.as_ref().map(|rc| {
-                // The key (a query clone) is only built when memoization
-                // can use it — measurement mode without a result cache
-                // stays wrapper- and allocation-free per job.
-                (group_key(&job, job.query.clone()), rc.epoch())
-            });
-            let memo_attempted = memo.is_some();
-            if let Some((key, _)) = &memo {
-                let rc = state.results.as_ref().expect("memo key implies cache");
-                if let Some((items, residual)) = rc.get(key) {
-                    state.result_served.fetch_add(1, Ordering::Relaxed);
-                    if degraded {
-                        state.record_degraded(residual);
+        }
+        let Some((first, _)) = live.first() else {
+            return;
+        };
+        let (model, bounds) = (first.model, first.bounds);
+        // Epoch read at the miss: if an invalidation lands while the query
+        // executes, the insert below is dropped rather than caching a
+        // pre-invalidation ranking as fresh.
+        let observed_epoch = state.results.as_ref().map(|rc| rc.epoch());
+        if let Some((items, residual)) = state.results.as_ref().and_then(|rc| rc.get(&key)) {
+            for (job, sampled) in live.drain(..) {
+                let result = SearchResult {
+                    items: (*items).clone(),
+                    stats: Default::default(),
+                    residual,
+                };
+                self.answer(&group, job, sampled, Outcome::Done(result), Answered::Memo);
+            }
+            return;
+        }
+        let fault = self.ctl.take_fault();
+        group.fault = fault.map(fault_name);
+        let result = match fault {
+            // The clean error path: fail without executing or rebuilding.
+            Some(FaultKind::Error) => None,
+            _ => {
+                let (query, _, strategy, processor, _) = &key;
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    match fault {
+                        Some(FaultKind::Panic) => panic!("injected fault: panic"),
+                        Some(FaultKind::Delay(d)) => std::thread::sleep(d),
+                        _ => {}
                     }
-                    // Memo hits have an end-to-end latency but no σ or
-                    // scoring execution of their own.
-                    state
-                        .latency
-                        .record(Stage::EndToEnd, job.submitted.elapsed());
-                    let trace = maybe_trace(
-                        state,
-                        shard,
-                        &job.query,
-                        &job,
-                        sampled,
-                        TraceOutcome::Done { items: items.len() },
-                        started - job.submitted,
-                        raced,
-                        |rec| {
-                            rec.result_cached = Some(true);
-                            if degraded {
-                                rec.degraded = Some((job.bounds.max_radius, job.bounds.min_mass));
-                                rec.residual = residual;
-                            }
-                        },
-                    );
-                    let _ = job.reply.send(Reply {
-                        outcome: Outcome::Done(SearchResult {
-                            items: (*items).clone(),
-                            stats: Default::default(),
-                            residual,
-                        }),
-                        shard,
-                        queue_wait: started - job.submitted,
-                        coalesced: false,
-                        result_cached: true,
-                        degraded,
-                        residual,
-                        tag: job.tag,
-                        trace,
-                    });
-                    continue;
-                }
-            }
-            let fault = ctl.take_fault();
-            if matches!(fault, Some(FaultKind::Error)) {
-                reply_failed(
-                    &job,
-                    &job.query,
-                    state,
-                    shard,
-                    started,
-                    degraded,
-                    sampled,
-                    fault.map(fault_name),
-                    job.bounds,
-                    raced,
-                );
-                continue;
-            }
-            let run = run_contained(
-                engine,
-                &job.query,
-                job.model,
-                job.strategy,
-                job.processor,
-                job.bounds,
-                fault,
-            );
-            let result = match run {
-                Ok(result) => result,
-                Err(()) => {
+                    self.engine
+                        .execute(query, model, *strategy, *processor, bounds)
+                }));
+                if run.is_err() {
+                    // Contained panic: the whole group was riding this
+                    // execution. The engine's scratch state is suspect, so
+                    // rebuild it and keep serving the other groups.
                     state.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    *engine = rebuild();
-                    reply_failed(
-                        &job,
-                        &job.query,
-                        state,
-                        shard,
-                        started,
-                        degraded,
-                        sampled,
-                        fault.map(fault_name),
-                        job.bounds,
-                        raced,
-                    );
-                    continue;
+                    self.engine = (self.rebuild)();
                 }
-            };
-            if let Some((key, observed_epoch)) = memo {
-                let rc = state.results.as_ref().expect("memo key implies cache");
-                rc.insert(
-                    key,
-                    Arc::new(result.items.clone()),
-                    result.residual,
-                    observed_epoch,
-                );
+                run.ok()
             }
-            state.executed.fetch_add(1, Ordering::Relaxed);
-            let residual = result.residual;
+        };
+        let Some(result) = result else {
+            for (job, sampled) in live.drain(..) {
+                self.answer(&group, job, sampled, Outcome::Failed, Answered::Failed);
+            }
+            return;
+        };
+        state.executed.fetch_add(1, Ordering::Relaxed);
+        // One execution served the whole group: σ/scoring record once, while
+        // queue wait and end-to-end record per job.
+        state.latency.record_ns(Stage::Sigma, result.stats.sigma_ns);
+        state
+            .latency
+            .record_ns(Stage::Scoring, result.stats.scoring_ns);
+        let residual = result.residual;
+        // Clone the ranking for memoization before the fan-out consumes the
+        // result; the insert itself waits until after the loop (it takes the
+        // key, whose query the replies still borrow).
+        let memo_items = state
+            .results
+            .as_ref()
+            .map(|_| Arc::new(result.items.clone()));
+        let count = live.len();
+        let mut remaining = Some(result);
+        for (i, (job, sampled)) in live.drain(..).enumerate() {
+            // The last reply moves the original result.
+            let r = if i + 1 == count {
+                remaining.take()
+            } else {
+                remaining.clone()
+            };
+            let outcome = Outcome::Done(r.expect("result consumed once"));
+            let how = Answered::Executed { coalesced: i != 0 };
+            self.answer(&group, job, sampled, outcome, how);
+        }
+        if let (Some(rc), Some(items), Some(epoch)) = (&state.results, memo_items, observed_epoch) {
+            rc.insert(key, items, residual, epoch);
+        }
+    }
+
+    /// Answers one job: counts it, closes its end-to-end latency when it
+    /// was served, retains its trace when the collector wants one (the
+    /// cold path; `None`, the common case, costs only the `wants` check),
+    /// and sends the reply — the one place a worker builds a query
+    /// [`Reply`].
+    fn answer(&self, group: &GroupCtx, job: Job, sampled: bool, outcome: Outcome, how: Answered) {
+        let state = self.state;
+        // A shed job never ran, so it ran under no bounds.
+        let degraded = how != Answered::Shed && !job.bounds.is_exact();
+        let residual = outcome.result().map_or(0.0, |r| r.residual);
+        let e2e = job.submitted.elapsed();
+        match how {
+            Answered::Shed => state.deadline_misses.fetch_add(1, Ordering::Relaxed),
+            Answered::Failed => state.failed.fetch_add(1, Ordering::Relaxed),
+            Answered::Memo => state.result_served.fetch_add(1, Ordering::Relaxed),
+            Answered::Executed { coalesced: true } => {
+                state.coalesced.fetch_add(1, Ordering::Relaxed)
+            }
+            Answered::Executed { coalesced: false } => 0,
+        };
+        if matches!(how, Answered::Memo | Answered::Executed { .. }) {
             if degraded {
                 state.record_degraded(residual);
             }
-            // σ/scoring are per-execution stages, reported by the processor
-            // through `QueryStats`; end-to-end closes at reply time.
-            state.latency.record_ns(Stage::Sigma, result.stats.sigma_ns);
-            state
-                .latency
-                .record_ns(Stage::Scoring, result.stats.scoring_ns);
-            state
-                .latency
-                .record(Stage::EndToEnd, job.submitted.elapsed());
-            let trace = maybe_trace(
-                state,
-                shard,
-                &job.query,
-                &job,
-                sampled,
-                TraceOutcome::Done {
-                    items: result.items.len(),
+            state.latency.record(Stage::EndToEnd, e2e);
+        }
+        let queue_wait = group.started - job.submitted;
+        let wanted = state
+            .traces
+            .wants(job.trace, sampled, e2e, how == Answered::Shed);
+        let trace = wanted.then(|| {
+            let mut rec = TraceRecord::new(self.shard, group.query, job.tag, job.trace);
+            rec.sampled = sampled;
+            rec.e2e = e2e;
+            rec.queue_wait = queue_wait;
+            rec.outcome = match &outcome {
+                Outcome::Done(r) => TraceOutcome::Done {
+                    items: r.items.len(),
                 },
-                started - job.submitted,
-                raced,
-                |rec| {
-                    rec.fill_execution(&result.stats);
-                    match engine.plan_of(
-                        &job.query,
+                Outcome::DeadlineMissed => TraceOutcome::DeadlineMissed,
+                Outcome::Failed => TraceOutcome::Failed,
+            };
+            if let Some(m) = group.raced {
+                rec.mutation = Some((m.epoch, m.mutations));
+                rec.invalidated = Some((m.prox_invalidated, m.results_invalidated));
+                rec.wal = m.wal.map(|w| (w.bytes, w.synced));
+            }
+            match how {
+                Answered::Shed => rec.shed = true,
+                Answered::Memo => rec.result_cached = Some(true),
+                Answered::Failed => {}
+                Answered::Executed { coalesced } => {
+                    if let Some(r) = outcome.result() {
+                        rec.fill_execution(&r.stats);
+                    }
+                    rec.coalesced = coalesced;
+                    rec.result_cached = state.results.is_some().then_some(false);
+                    // Planning is deterministic and cheap, so re-planning
+                    // here beats threading the decision through the hot
+                    // path.
+                    let plan = self.engine.plan(
+                        group.query,
                         job.model,
                         job.strategy,
                         job.processor,
                         job.bounds,
-                    ) {
-                        Some(p) => rec.plan = Some(p),
-                        None => rec.fixed_engine = true,
-                    }
-                    rec.result_cached = memo_attempted.then_some(false);
-                    rec.fault = fault.map(fault_name);
-                    if degraded {
-                        rec.degraded = Some((job.bounds.max_radius, job.bounds.min_mass));
-                        rec.residual = residual;
-                    }
-                },
-            );
-            let _ = job.reply.send(Reply {
-                outcome: Outcome::Done(result),
-                shard,
-                queue_wait: started - job.submitted,
-                coalesced: false,
-                result_cached: false,
-                degraded,
-                residual,
-                tag: job.tag,
-                trace,
-            });
-        }
-        return;
-    }
-    for mut job in batch.drain(..) {
-        // The key takes ownership of the job's query (no clone): run_group
-        // executes from the key, and duplicate keys are simply dropped.
-        let query = std::mem::replace(
-            &mut job.query,
-            Query {
-                seeker: 0,
-                tags: Vec::new(),
-                k: 0,
-            },
-        );
-        let key = group_key(&job, query);
-        groups.entry(key).or_default().push(job);
-    }
-    for (key, jobs) in groups.drain() {
-        run_group(
-            engine, rebuild, key, jobs, state, shard, started, ctl, raced,
-        );
-    }
-}
-
-/// Sheds expired members of one duplicate-request group, answers the
-/// survivors from the result cache when possible, otherwise executes the
-/// query once (inside panic containment) and fans the result out.
-#[allow(clippy::too_many_arguments)]
-fn run_group<'c, R>(
-    engine: &mut ShardEngine<'c>,
-    rebuild: &R,
-    key: ResultKey,
-    jobs: Vec<Job>,
-    state: &ShardState,
-    shard: usize,
-    started: Instant,
-    ctl: &mut WorkerCtl,
-    raced: Option<RacedMutation>,
-) where
-    R: Fn() -> ShardEngine<'c>,
-{
-    // Every job in the group shares the key, hence the effective bounds.
-    let degraded = key.4 != SigmaBounds::EXACT.key_bits();
-    let bounds = SigmaBounds {
-        max_radius: key.4 .0,
-        min_mass: f64::from_bits(key.4 .1),
-    };
-    // Shed what already expired in the queue; execute for the rest. The
-    // group key owns the query (coalescing moved it out of each job), so
-    // every trace site below reads it from `key.0`.
-    let mut live: Vec<(Job, bool)> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        // The head-sampling decision — tracing's only hot-path cost.
-        let sampled = state.traces.should_sample();
-        state
-            .latency
-            .record(Stage::QueueWait, started - job.submitted);
-        if job.deadline.is_some_and(|d| started > d) {
-            state.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            let trace = maybe_trace(
-                state,
-                shard,
-                &key.0,
-                &job,
-                sampled,
-                TraceOutcome::DeadlineMissed,
-                started - job.submitted,
-                raced,
-                |rec| rec.shed = true,
-            );
-            let _ = job.reply.send(Reply {
-                outcome: Outcome::DeadlineMissed,
-                shard,
-                queue_wait: started - job.submitted,
-                coalesced: false,
-                result_cached: false,
-                degraded: false,
-                residual: 0.0,
-                tag: job.tag,
-                trace,
-            });
-        } else {
-            live.push((job, sampled));
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    // Epoch read at the miss: if an invalidation lands while the query
-    // executes, the insert below is dropped rather than caching a
-    // pre-invalidation ranking as fresh.
-    let observed_epoch = state.results.as_ref().map(|rc| rc.epoch());
-    if let Some((items, residual)) = state.results.as_ref().and_then(|rc| rc.get(&key)) {
-        state
-            .result_served
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
-        for (job, sampled) in live {
+                    );
+                    rec.plan = Some((
+                        plan.processor_name,
+                        STRATEGY_LABELS[strategy_index(plan.strategy)],
+                    ));
+                }
+            }
+            rec.fault = group.fault;
             if degraded {
-                state.record_degraded(residual);
+                rec.degraded = Some((job.bounds.max_radius, job.bounds.min_mass));
+                rec.residual = residual;
             }
-            state
-                .latency
-                .record(Stage::EndToEnd, job.submitted.elapsed());
-            let trace = maybe_trace(
-                state,
-                shard,
-                &key.0,
-                &job,
-                sampled,
-                TraceOutcome::Done { items: items.len() },
-                started - job.submitted,
-                raced,
-                |rec| {
-                    rec.result_cached = Some(true);
-                    if degraded {
-                        rec.degraded = Some((bounds.max_radius, bounds.min_mass));
-                        rec.residual = residual;
-                    }
-                },
-            );
-            let _ = job.reply.send(Reply {
-                outcome: Outcome::Done(SearchResult {
-                    items: (*items).clone(),
-                    stats: Default::default(),
-                    residual,
-                }),
-                shard,
-                queue_wait: started - job.submitted,
-                coalesced: false,
-                result_cached: true,
-                degraded,
-                residual,
-                tag: job.tag,
-                trace,
-            });
-        }
-        return;
-    }
-    let fault = ctl.take_fault();
-    if matches!(fault, Some(FaultKind::Error)) {
-        for (job, sampled) in &live {
-            reply_failed(
-                job,
-                &key.0,
-                state,
-                shard,
-                started,
-                degraded,
-                *sampled,
-                fault.map(fault_name),
-                bounds,
-                raced,
-            );
-        }
-        return;
-    }
-    let (query, _, strategy, processor, _) = &key;
-    let run = run_contained(
-        engine,
-        query,
-        live[0].0.model,
-        *strategy,
-        *processor,
-        bounds,
-        fault,
-    );
-    let result = match run {
-        Ok(result) => result,
-        Err(()) => {
-            // Contained panic: the whole group was riding this execution —
-            // fail it, rebuild the engine, keep serving the other groups.
-            state.worker_restarts.fetch_add(1, Ordering::Relaxed);
-            *engine = rebuild();
-            for (job, sampled) in &live {
-                reply_failed(
-                    job,
-                    &key.0,
-                    state,
-                    shard,
-                    started,
-                    degraded,
-                    *sampled,
-                    fault.map(fault_name),
-                    bounds,
-                    raced,
-                );
-            }
-            return;
-        }
-    };
-    state.executed.fetch_add(1, Ordering::Relaxed);
-    state
-        .coalesced
-        .fetch_add(live.len() as u64 - 1, Ordering::Relaxed);
-    // One execution served the whole group: σ/scoring record once, while
-    // queue wait and end-to-end record per rider.
-    state.latency.record_ns(Stage::Sigma, result.stats.sigma_ns);
-    state
-        .latency
-        .record_ns(Stage::Scoring, result.stats.scoring_ns);
-    let residual = result.residual;
-    // Clone the ranking for memoization before the fan-out consumes the
-    // result; the insert itself waits until after the loop (it takes the
-    // key, whose query the trace sites still borrow).
-    let memo_items = state
-        .results
-        .as_ref()
-        .map(|_| Arc::new(result.items.clone()));
-    let count = live.len();
-    let mut remaining = Some(result);
-    for (i, (job, sampled)) in live.into_iter().enumerate() {
-        // Waiters beyond the first are coalesced onto the single
-        // execution; the last reply moves the original result.
-        let r = if i + 1 == count {
-            remaining.take().expect("result consumed once")
-        } else {
-            remaining.as_ref().expect("result still held").clone()
-        };
-        if degraded {
-            state.record_degraded(residual);
-        }
-        state
-            .latency
-            .record(Stage::EndToEnd, job.submitted.elapsed());
-        let trace = maybe_trace(
-            state,
-            shard,
-            &key.0,
-            &job,
-            sampled,
-            TraceOutcome::Done {
-                items: r.items.len(),
-            },
-            started - job.submitted,
-            raced,
-            |rec| {
-                rec.fill_execution(&r.stats);
-                rec.coalesced = i != 0;
-                match engine.plan_of(&key.0, job.model, *strategy, *processor, bounds) {
-                    Some(p) => rec.plan = Some(p),
-                    None => rec.fixed_engine = true,
-                }
-                rec.result_cached = state.results.is_some().then_some(false);
-                rec.fault = fault.map(fault_name);
-                if degraded {
-                    rec.degraded = Some((bounds.max_radius, bounds.min_mass));
-                    rec.residual = residual;
-                }
-            },
-        );
+            state.traces.retain(rec)
+        });
         let _ = job.reply.send(Reply {
-            outcome: Outcome::Done(r),
-            shard,
-            queue_wait: started - job.submitted,
-            coalesced: i != 0,
-            result_cached: false,
+            queue_wait,
+            coalesced: how == Answered::Executed { coalesced: true },
+            result_cached: how == Answered::Memo,
             degraded,
-            residual,
-            tag: job.tag,
             trace,
+            ..Reply::new(outcome, self.shard, job.tag)
         });
     }
-    if let Some(rc) = &state.results {
-        let epoch = observed_epoch.expect("epoch read with the cache present");
-        rc.insert(
-            key,
-            memo_items.expect("cloned with the cache present"),
-            residual,
-            epoch,
-        );
-    }
-}
-
-/// Runs `queries` through a transient service over `corpus` — the thin
-/// service-client form of [`friends_core::batch::par_batch_with_cache`]:
-/// start, flood, drain, shutdown. Results come back in input order and are
-/// byte-identical to direct execution (routing affects *where* a query
-/// runs, never its answer).
-#[deprecated(
-    note = "use `ServedClient` (a `SearchClient` over a standing planner-backed service); \
-            this path is pinned byte-identical to it by the client proptests"
-)]
-pub fn par_batch_served<F: ProcessorFactory>(
-    corpus: &Arc<Corpus>,
-    queries: &[Query],
-    shards: usize,
-    factory: F,
-) -> Vec<SearchResult> {
-    let config = ServiceConfig {
-        shards,
-        default_deadline: None,
-        ..ServiceConfig::default()
-    };
-    let service = FriendsService::start(Arc::clone(corpus), config, factory);
-    let out = service.run_batch(queries);
-    service.shutdown();
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use friends_core::batch::par_batch;
+    use friends_core::plan::GLOBAL_BOUND_TA;
+    use friends_core::processors::{ExactOnline, GlobalBoundTA, Processor, ScoringStrategy};
     use friends_data::datasets::{DatasetSpec, Scale};
     use friends_data::mutations::Mutation;
     use friends_data::queries::{QueryParams, QueryWorkload};
@@ -1771,35 +1241,80 @@ mod tests {
 
     const MODEL: ProximityModel = ProximityModel::WeightedDecay { alpha: 0.5 };
 
+    /// A service over the standard registry and default planner.
+    fn start(corpus: &Arc<Corpus>, config: ServiceConfig) -> FriendsService {
+        FriendsService::start(
+            Arc::clone(corpus),
+            config,
+            Arc::new(ProcessorRegistry::standard()),
+            Planner::default(),
+        )
+    }
+
+    /// A request for `query` under [`MODEL`].
+    fn request(query: Query) -> Request {
+        Request::new(query).with_model(MODEL)
+    }
+
+    /// Floods every query in under [`MODEL`] with the default deadline,
+    /// then collects the replies in input order.
+    fn submit_all(svc: &FriendsService, queries: &[Query]) -> Vec<Reply> {
+        let tickets: Vec<Ticket> = queries
+            .iter()
+            .map(|q| svc.submit(request(q.clone())))
+            .collect();
+        tickets.into_iter().map(Ticket::wait).collect()
+    }
+
+    /// Runs every query under [`MODEL`] without a deadline and unwraps the
+    /// results in input order.
+    fn run_all(svc: &FriendsService, queries: &[Query]) -> Vec<SearchResult> {
+        let tickets: Vec<Ticket> = queries
+            .iter()
+            .map(|q| svc.submit(request(q.clone()).without_deadline()))
+            .collect();
+        tickets
+            .into_iter()
+            .map(|t| t.wait().outcome.expect_done("run_all"))
+            .collect()
+    }
+
     #[test]
-    #[allow(deprecated)]
     fn service_matches_direct_execution() {
         let (corpus, w) = fixture();
-        let direct = par_batch(&w.queries, 1, || ExactOnline::new(&corpus, MODEL));
-        let served = par_batch_served(&corpus, &w.queries, 3, exact_factory(MODEL));
-        assert_eq!(direct.len(), served.len());
-        for (a, b) in direct.iter().zip(&served) {
-            assert_eq!(a.items, b.items);
+        let mut direct = ExactOnline::new(&corpus, MODEL);
+        let svc = start(
+            &corpus,
+            ServiceConfig {
+                shards: 3,
+                default_deadline: None,
+                ..ServiceConfig::default()
+            },
+        );
+        let served = run_all(&svc, &w.queries);
+        assert_eq!(w.queries.len(), served.len());
+        for (q, b) in w.queries.iter().zip(&served) {
+            assert_eq!(direct.query(q).items, b.items);
         }
+        svc.shutdown();
     }
 
     #[test]
     fn affinity_routes_each_seeker_to_one_shard() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 4,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         assert_eq!(svc.num_shards(), 4);
         for q in &w.queries {
             let s = svc.shard_of(q.seeker);
             assert!(s < 4);
             assert_eq!(s, svc.shard_of(q.seeker), "routing must be stable");
-            let t = svc.submit(Request::new(q.clone()));
+            let t = svc.submit(request(q.clone()));
             assert_eq!(t.shard(), s);
             let reply = t.wait();
             assert_eq!(reply.shard, s);
@@ -1816,13 +1331,12 @@ mod tests {
     #[test]
     fn duplicate_requests_coalesce_onto_one_execution() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 7,
@@ -1839,12 +1353,12 @@ mod tests {
             .iter()
             .cycle()
             .take(256)
-            .map(|p| svc.submit(Request::new(p.clone()).without_deadline()))
+            .map(|p| svc.submit(request(p.clone()).without_deadline()))
             .collect();
         // Flood 32 identical requests; collect replies afterwards so they
         // are all in flight together.
         let queries = vec![q.clone(); 32];
-        let replies = svc.submit_batch(&queries);
+        let replies = submit_all(&svc, &queries);
         // The cycled plug repeats queries too, so its replies also carry
         // coalesced flags — tally them all against the shard counter.
         let mut coalesced = 0;
@@ -1876,21 +1390,20 @@ mod tests {
     #[test]
     fn coalescing_can_be_disabled() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 coalesce: false,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 7,
             tags: vec![0],
             k: 5,
         };
-        let replies = svc.submit_batch(&vec![q; 16]);
+        let replies = submit_all(&svc, &vec![q; 16]);
         assert!(replies.iter().all(|r| !r.coalesced));
         let stats = svc.shutdown().totals();
         assert_eq!(stats.executed, 16);
@@ -1900,22 +1413,21 @@ mod tests {
     #[test]
     fn result_cache_serves_repeats_across_cycles() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 result_cache_capacity: 256,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
-        let first = svc.run_batch(&w.queries);
+        let first = run_all(&svc, &w.queries);
         // Second pass arrives in later dispatch cycles: coalescing cannot
         // help, memoization must.
         let tickets: Vec<Ticket> = w
             .queries
             .iter()
-            .map(|q| svc.submit(Request::new(q.clone()).without_deadline()))
+            .map(|q| svc.submit(request(q.clone()).without_deadline()))
             .collect();
         let replies: Vec<Reply> = tickets.into_iter().map(Ticket::wait).collect();
         for ((a, b), q) in first.iter().zip(&replies).zip(&w.queries) {
@@ -1942,27 +1454,26 @@ mod tests {
     #[test]
     fn invalidate_results_forces_reexecution() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 result_cache_capacity: 64,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 3,
             tags: vec![0, 1],
             k: 5,
         };
-        let a = svc.run_batch(std::slice::from_ref(&q));
-        let b = svc.run_batch(std::slice::from_ref(&q));
+        let a = run_all(&svc, std::slice::from_ref(&q));
+        let b = run_all(&svc, std::slice::from_ref(&q));
         assert_eq!(a[0].items, b[0].items);
         let before = svc.stats().totals();
         assert_eq!(before.result_served, 1, "{before:?}");
         svc.invalidate_results();
-        let c = svc.run_batch(std::slice::from_ref(&q));
+        let c = run_all(&svc, std::slice::from_ref(&q));
         assert_eq!(a[0].items, c[0].items, "re-execution must agree");
         let after = svc.shutdown().totals();
         assert_eq!(
@@ -1976,17 +1487,16 @@ mod tests {
     #[test]
     fn apply_mutations_switches_every_shard_to_the_new_epoch() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 3,
                 result_cache_capacity: 64,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         // Warm both cache layers under epoch 0.
-        let before = svc.run_batch(&w.queries);
+        let before = run_all(&svc, &w.queries);
         for (q, r) in w.queries.iter().zip(&before) {
             let d = ExactOnline::new(&corpus, MODEL).query(q);
             assert_eq!(r.items, d.items);
@@ -2015,7 +1525,7 @@ mod tests {
         // entry the incremental sweep left alone — must equal from-scratch
         // execution on the new snapshot. This is the sweep-soundness claim
         // end to end.
-        let after = svc.run_batch(&w.queries);
+        let after = run_all(&svc, &w.queries);
         for (q, r) in w.queries.iter().zip(&after) {
             let d = ExactOnline::new(&now, MODEL).query(q);
             assert_eq!(r.items, d.items, "stale answer under epoch 1: {q:?}");
@@ -2029,13 +1539,12 @@ mod tests {
     #[test]
     fn queries_racing_a_mutation_carry_trace_events() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 2,
@@ -2043,7 +1552,7 @@ mod tests {
             k: 5,
         };
         // Warm a σ entry so the sweep has something to drop.
-        let _ = svc.run_batch(std::slice::from_ref(&q));
+        let _ = run_all(&svc, std::slice::from_ref(&q));
         let report = svc.apply_mutations(
             &MutationBatch::new(vec![Mutation::InsertEdge {
                 u: 2,
@@ -2054,7 +1563,7 @@ mod tests {
         );
         assert_eq!(report.epoch, 1);
         // The first dispatch cycle after the boundary carries the marker.
-        let reply = svc.submit(Request::new(q).with_trace()).wait();
+        let reply = svc.submit(request(q).with_trace()).wait();
         let trace = reply.trace.expect("forced trace");
         let rendered = trace.render();
         assert!(
@@ -2071,16 +1580,15 @@ mod tests {
     #[test]
     fn incremental_sweep_counts_surface_in_stats() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 result_cache_capacity: 256,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
-        let _ = svc.run_batch(&w.queries); // warm σ + memoized rankings
+        let _ = run_all(&svc, &w.queries); // warm σ + memoized rankings
         let report = svc.apply_mutations(
             &MutationBatch::new(vec![Mutation::InsertEdge {
                 u: 0,
@@ -2104,13 +1612,12 @@ mod tests {
     #[test]
     fn expired_requests_are_shed_not_executed() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         // A deadline that has effectively already passed: the request
         // expires while queued (the worker needs a moment to pick it up).
@@ -2123,10 +1630,10 @@ mod tests {
         // waits in the queue past its deadline.
         let mut tickets = Vec::new();
         for _ in 0..64 {
-            tickets.push(svc.submit(Request::new(q.clone())));
+            tickets.push(svc.submit(request(q.clone())));
         }
         let doomed = svc.submit(
-            Request::new(Query {
+            request(Query {
                 seeker: 5,
                 tags: vec![1],
                 k: 5,
@@ -2153,14 +1660,13 @@ mod tests {
     #[test]
     fn wait_deadline_returns_at_the_deadline_not_after_execution() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 max_batch: 1, // one job per dispatch cycle: the queue drains slowly
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         // Park the single worker behind a pile of work. The pile and the
         // budget below are sized so the queue cannot drain inside the
@@ -2171,13 +1677,13 @@ mod tests {
             .iter()
             .cycle()
             .take(2048)
-            .map(|q| svc.submit(Request::new(q.clone()).without_deadline()))
+            .map(|q| svc.submit(request(q.clone()).without_deadline()))
             .collect();
         // …then submit a short-deadline request. Its deadline will pass
         // while the earlier work is still executing.
         let budget = Duration::from_millis(1);
         let doomed = svc.submit(
-            Request::new(Query {
+            request(Query {
                 seeker: 9,
                 tags: vec![0],
                 k: 5,
@@ -2205,16 +1711,15 @@ mod tests {
     #[test]
     fn wait_deadline_returns_results_when_in_time() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let t = svc.submit(
-            Request::new(Query {
+            request(Query {
                 seeker: 2,
                 tags: vec![0],
                 k: 5,
@@ -2228,16 +1733,15 @@ mod tests {
     #[test]
     fn tickets_poll_and_try_take_without_blocking() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let mut t = svc.submit(
-            Request::new(Query {
+            request(Query {
                 seeker: 4,
                 tags: vec![0],
                 k: 5,
@@ -2260,18 +1764,17 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_work() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let tickets: Vec<Ticket> = w
             .queries
             .iter()
-            .map(|q| svc.submit(Request::new(q.clone())))
+            .map(|q| svc.submit(request(q.clone())))
             .collect();
         // Shut down immediately: every already-submitted request must still
         // be answered (drain, not abort).
@@ -2291,15 +1794,15 @@ mod tests {
     fn strategy_hint_is_honored_and_exact() {
         let (corpus, w) = fixture();
         corpus.sigma_index(); // shared build
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            exact_factory(ProximityModel::DistanceDecay { alpha: 0.4 }),
         );
-        let mut direct = ExactOnline::new(&corpus, ProximityModel::DistanceDecay { alpha: 0.4 });
+        let model = ProximityModel::DistanceDecay { alpha: 0.4 };
+        let mut direct = ExactOnline::new(&corpus, model);
         for q in w.queries.iter().take(8) {
             let want = direct.query(q).items;
             for strategy in [
@@ -2308,7 +1811,11 @@ mod tests {
                 ScoringStrategy::BlockMax,
             ] {
                 let reply = svc
-                    .submit(Request::new(q.clone()).with_strategy(strategy))
+                    .submit(
+                        Request::new(q.clone())
+                            .with_model(model)
+                            .with_strategy(strategy),
+                    )
                     .wait();
                 assert_eq!(
                     reply.outcome.result().expect("done").items,
@@ -2323,22 +1830,20 @@ mod tests {
     #[test]
     fn planned_service_plans_per_request_model() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start_planned(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            Arc::new(ProcessorRegistry::standard()),
-            Planner::default(),
         );
         let mut exact_wd = ExactOnline::new(&corpus, MODEL);
         let mut exact_global = ExactOnline::new(&corpus, ProximityModel::Global);
         for q in w.queries.iter().take(8) {
             let want = exact_wd.query(q).items;
-            let got = svc.submit(Request::new(q.clone()).with_model(MODEL)).wait();
+            let got = svc.submit(request(q.clone())).wait();
             assert_eq!(got.outcome.result().expect("done").items, want);
-            // No model → the planner's Global default.
+            // No model → the Global default.
             let want = exact_global.query(q).items;
             let got = svc.submit(Request::new(q.clone())).wait();
             assert_eq!(got.outcome.result().expect("done").items, want);
@@ -2351,16 +1856,15 @@ mod tests {
     #[test]
     fn shard_caches_fill_under_affinity() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
-        svc.run_batch(&w.queries);
-        svc.run_batch(&w.queries); // second pass: repeat seekers hit
+        run_all(&svc, &w.queries);
+        run_all(&svc, &w.queries); // second pass: repeat seekers hit
         let stats = svc.shutdown();
         let totals = stats.totals();
         assert!(totals.cache.insertions > 0, "{totals:?}");
@@ -2372,14 +1876,34 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn global_bound_factory_serves() {
+    fn global_bound_entry_serves() {
         let (corpus, w) = fixture();
-        let direct = par_batch(&w.queries, 1, || GlobalBoundTA::new(&corpus, MODEL));
-        let served = par_batch_served(&corpus, &w.queries, 2, global_bound_factory(MODEL));
-        for (a, b) in direct.iter().zip(&served) {
-            assert_eq!(a.items, b.items);
+        let mut direct = GlobalBoundTA::new(&corpus, MODEL);
+        let svc = start(
+            &corpus,
+            ServiceConfig {
+                shards: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        for q in &w.queries {
+            let forced = Request {
+                processor: Some(GLOBAL_BOUND_TA),
+                ..request(q.clone()).without_deadline()
+            };
+            let reply = svc.submit(forced).wait();
+            assert_eq!(
+                reply.outcome.result().expect("done").items,
+                direct.query(q).items
+            );
         }
+        let totals = svc.shutdown().totals();
+        assert_eq!(
+            totals.plans.processors[1],
+            w.len() as u64,
+            "{:?}",
+            totals.plans
+        );
     }
 
     /// The fault-injection satellite: a panic in the Nth execution is
@@ -2389,8 +1913,8 @@ mod tests {
     #[test]
     fn injected_panic_fails_only_the_in_flight_request() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 coalesce: false, // one execution attempt per request
@@ -2400,16 +1924,13 @@ mod tests {
                 }),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let mut failed = Vec::new();
         for (i, q) in w.queries.iter().take(10).enumerate() {
             // Waiting each ticket serializes execution, so the fault
             // ordinal maps 1:1 onto the stream position.
             let start = Instant::now();
-            let reply = svc
-                .submit(Request::new(q.clone()).without_deadline())
-                .wait();
+            let reply = svc.submit(request(q.clone()).without_deadline()).wait();
             assert!(
                 start.elapsed() < Duration::from_secs(5),
                 "ticket hung after the injected panic"
@@ -2441,8 +1962,8 @@ mod tests {
     #[test]
     fn injected_error_fails_cleanly_without_restart() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 coalesce: false,
@@ -2452,16 +1973,12 @@ mod tests {
                 }),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let replies: Vec<Reply> = w
             .queries
             .iter()
             .take(6)
-            .map(|q| {
-                svc.submit(Request::new(q.clone()).without_deadline())
-                    .wait()
-            })
+            .map(|q| svc.submit(request(q.clone()).without_deadline()).wait())
             .collect();
         assert!(matches!(replies[1].outcome, Outcome::Failed));
         assert_eq!(
@@ -2482,8 +1999,8 @@ mod tests {
     #[test]
     fn injected_delay_stalls_but_completes() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 fault: Some(FaultPlan {
@@ -2492,12 +2009,11 @@ mod tests {
                 }),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let start = Instant::now();
         let reply = svc
             .submit(
-                Request::new(Query {
+                request(Query {
                     seeker: 3,
                     tags: vec![0],
                     k: 5,
@@ -2524,8 +2040,8 @@ mod tests {
             cooldown_batches: 2,
             ..OverloadPolicy::default()
         };
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 max_batch: 4, // small cycles keep the flooded queue deep
@@ -2533,7 +2049,6 @@ mod tests {
                 default_deadline: Some(Duration::from_secs(30)),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         // Flood: far more than depth_high in flight at once. Every request
         // carries the default deadline, so the controller may degrade it.
@@ -2542,7 +2057,7 @@ mod tests {
             .iter()
             .cycle()
             .take(512)
-            .map(|q| svc.submit(Request::new(q.clone())))
+            .map(|q| svc.submit(request(q.clone())))
             .collect();
         let mut saw_degraded = false;
         for t in tickets {
@@ -2568,7 +2083,7 @@ mod tests {
         };
         let mut last = None;
         for _ in 0..8 {
-            last = Some(svc.submit(Request::new(q.clone())).wait());
+            last = Some(svc.submit(request(q.clone())).wait());
         }
         let last = last.expect("eight replies");
         assert!(
@@ -2611,7 +2126,7 @@ mod tests {
                 k: 1,
             },
             strategy: ScoringStrategy::Auto,
-            model: None,
+            model: ProximityModel::Global,
             processor: None,
             bounds: SigmaBounds::EXACT,
             deadline: Some(due),
@@ -2648,8 +2163,8 @@ mod tests {
     #[test]
     fn deadline_free_requests_stay_exact_under_overload() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 max_batch: 4,
@@ -2662,14 +2177,13 @@ mod tests {
                 default_deadline: None, // every request is deadline-free
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let tickets: Vec<Ticket> = w
             .queries
             .iter()
             .cycle()
             .take(512)
-            .map(|q| svc.submit(Request::new(q.clone())))
+            .map(|q| svc.submit(request(q.clone())))
             .collect();
         for t in tickets {
             let r = t.wait();
@@ -2681,20 +2195,72 @@ mod tests {
         assert_eq!(totals.max_residual, 0.0, "{totals:?}");
     }
 
+    /// A request without an explicit model is a `Global` request in every
+    /// respect: it shares the memo entry of `.with_model(Global)`, and an
+    /// edge-only mutation batch (which cannot move `σ ≡ 1`) leaves that
+    /// entry in place.
+    #[test]
+    fn default_model_requests_share_the_global_memo_entry() {
+        let (corpus, _) = fixture();
+        let svc = start(
+            &corpus,
+            ServiceConfig {
+                shards: 1,
+                result_cache_capacity: 64,
+                default_deadline: None,
+                ..ServiceConfig::default()
+            },
+        );
+        let q = Query {
+            seeker: 2,
+            tags: vec![0, 1],
+            k: 5,
+        };
+        let first = svc.submit(Request::new(q.clone())).wait();
+        assert!(!first.result_cached, "{first:?}");
+        let global = svc
+            .submit(Request::new(q.clone()).with_model(ProximityModel::Global))
+            .wait();
+        assert!(
+            global.result_cached,
+            "one model, one memo entry: {global:?}"
+        );
+        assert_eq!(
+            global.outcome.result().expect("done").items,
+            first.outcome.result().expect("done").items
+        );
+        let report = svc.apply_mutations(
+            &MutationBatch::new(vec![Mutation::InsertEdge {
+                u: 2,
+                v: 3,
+                weight: 1.5,
+            }]),
+            None,
+        );
+        assert_eq!(report.results_invalidated, 0, "{report:?}");
+        let again = svc.submit(Request::new(q)).wait();
+        assert!(again.result_cached, "edge-only batch swept a Global entry");
+        let totals = svc.shutdown().totals();
+        assert_eq!(
+            (totals.executed, totals.result_served),
+            (1, 2),
+            "{totals:?}"
+        );
+    }
+
     /// σ bounds are part of the memoization identity: a ranking computed
     /// under degraded bounds is never served for an exact request (and
     /// vice versa).
     #[test]
     fn degraded_rankings_never_alias_exact_in_the_result_cache() {
         let (corpus, _) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 result_cache_capacity: 64,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 5,
@@ -2704,33 +2270,21 @@ mod tests {
         let bounds = Planner::degraded_bounds(2);
         // Degraded execution populates the cache under the degraded key.
         let a = svc
-            .submit(
-                Request::new(q.clone())
-                    .without_deadline()
-                    .with_bounds(bounds),
-            )
+            .submit(request(q.clone()).without_deadline().with_bounds(bounds))
             .wait();
         assert!(a.degraded && !a.result_cached);
         // The exact request must execute (miss), not read the degraded
         // entry.
-        let b = svc
-            .submit(Request::new(q.clone()).without_deadline())
-            .wait();
+        let b = svc.submit(request(q.clone()).without_deadline()).wait();
         assert!(!b.degraded && !b.result_cached, "{b:?}");
         assert_eq!(b.residual, 0.0);
         // Repeats hit their own entries, degradation marker preserved.
         let a2 = svc
-            .submit(
-                Request::new(q.clone())
-                    .without_deadline()
-                    .with_bounds(bounds),
-            )
+            .submit(request(q.clone()).without_deadline().with_bounds(bounds))
             .wait();
         assert!(a2.degraded && a2.result_cached, "{a2:?}");
         assert_eq!(a2.residual, a.residual);
-        let b2 = svc
-            .submit(Request::new(q.clone()).without_deadline())
-            .wait();
+        let b2 = svc.submit(request(q.clone()).without_deadline()).wait();
         assert!(!b2.degraded && b2.result_cached, "{b2:?}");
         let mut direct = ExactOnline::new(&corpus, MODEL);
         assert_eq!(
@@ -2778,7 +2332,7 @@ mod tests {
             durability: Some(DurabilityConfig::new(&dir)),
             ..ServiceConfig::default()
         };
-        let svc = FriendsService::start(Arc::clone(&corpus), config.clone(), exact_factory(MODEL));
+        let svc = start(&corpus, config.clone());
         let fresh = svc.recovery_report().expect("durable service").clone();
         assert_eq!(fresh.recovered_epoch, 0, "{fresh:?}");
         assert!(!fresh.degraded(), "{fresh:?}");
@@ -2798,7 +2352,7 @@ mod tests {
 
         // Restart over the same directory, passing the *stale* seed: the
         // disk state must win.
-        let svc2 = FriendsService::start(Arc::clone(&corpus), config, exact_factory(MODEL));
+        let svc2 = start(&corpus, config);
         let report = svc2.recovery_report().expect("durable service").clone();
         assert_eq!(report.recovered_epoch, 3, "{report:?}");
         assert_eq!(report.replayed, 3, "{report:?}");
@@ -2809,7 +2363,7 @@ mod tests {
         assert_eq!(svc2.epoch(), 3);
         let recovered = svc2.snapshot();
         assert!(recovered.graph.has_edge(0, 3) && recovered.graph.has_edge(2, 5));
-        let after = svc2.run_batch(&w.queries);
+        let after = run_all(&svc2, &w.queries);
         for (q, r) in w.queries.iter().zip(&after) {
             let d = ExactOnline::new(&expect, MODEL).query(q);
             assert_eq!(r.items, d.items, "recovered answer diverged: {q:?}");
@@ -2825,26 +2379,25 @@ mod tests {
     fn durable_service_surfaces_wal_metrics_and_trace_events() {
         let (corpus, _) = fixture();
         let dir = durability_dir("metrics");
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 durability: Some(DurabilityConfig::new(&dir)),
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let q = Query {
             seeker: 2,
             tags: vec![0],
             k: 5,
         };
-        let _ = svc.run_batch(std::slice::from_ref(&q));
+        let _ = run_all(&svc, std::slice::from_ref(&q));
         let report = svc.apply_mutations(&edge_batch(2, 3), None);
         let wal = report.wal.expect("durable service returns a WAL receipt");
         // The first post-boundary dispatch cycle's traces show the
         // durability point alongside the epoch switch.
-        let reply = svc.submit(Request::new(q).with_trace()).wait();
+        let reply = svc.submit(request(q).with_trace()).wait();
         let rendered = reply.trace.expect("forced trace").render();
         assert!(
             rendered.contains(&format!("wal append {} bytes (fsynced)", wal.bytes)),
@@ -2874,7 +2427,7 @@ mod tests {
             durability: Some(dcfg),
             ..ServiceConfig::default()
         };
-        let svc = FriendsService::start(Arc::clone(&corpus), config.clone(), exact_factory(MODEL));
+        let svc = start(&corpus, config.clone());
         for (u, v) in [(0, 3), (1, 4), (2, 5), (3, 6), (4, 7)] {
             svc.apply_mutations(&edge_batch(u, v), None);
         }
@@ -2886,7 +2439,7 @@ mod tests {
         );
         svc.shutdown();
 
-        let svc2 = FriendsService::start(Arc::clone(&corpus), config, exact_factory(MODEL));
+        let svc2 = start(&corpus, config);
         let report = svc2.recovery_report().expect("durable service").clone();
         assert_eq!(report.recovered_epoch, 5, "{report:?}");
         assert!(report.snapshot_epoch >= 2, "{report:?}");
@@ -2904,24 +2457,19 @@ mod tests {
     #[test]
     fn degraded_scores_stay_within_the_reported_residual() {
         let (corpus, w) = fixture();
-        let svc = FriendsService::start(
-            Arc::clone(&corpus),
+        let svc = start(
+            &corpus,
             ServiceConfig {
                 shards: 1,
                 ..ServiceConfig::default()
             },
-            exact_factory(MODEL),
         );
         let mut direct = ExactOnline::new(&corpus, MODEL);
         for level in [1u8, 2] {
             let bounds = Planner::degraded_bounds(level);
             for q in w.queries.iter().take(12) {
                 let reply = svc
-                    .submit(
-                        Request::new(q.clone())
-                            .without_deadline()
-                            .with_bounds(bounds),
-                    )
+                    .submit(request(q.clone()).without_deadline().with_bounds(bounds))
                     .wait();
                 assert!(reply.degraded);
                 let got = reply.outcome.result().expect("done");

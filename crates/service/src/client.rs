@@ -5,9 +5,8 @@
 //! strategy hint, deadline, tag) and hand it to any [`SearchClient`]:
 //!
 //! * [`DirectClient`] — in-process execution on a standing worker pool
-//!   with one **shared** sharded proximity cache, the successor of
-//!   `par_batch` / `par_batch_with_cache`. No affinity, no coalescing:
-//!   the lightest way to run personalized queries concurrently.
+//!   with one **shared** sharded proximity cache. No affinity, no
+//!   coalescing: the lightest way to run personalized queries concurrently.
 //! * [`ServedClient`] — a planner-backed [`FriendsService`]: seeker
 //!   affinity, batched dispatch, duplicate coalescing, shard-private
 //!   caches, optional result memoization. The serving tier behind the same
@@ -64,8 +63,7 @@ pub trait SearchClient {
     }
 
     /// Batch convenience for deadline-free workloads: runs every query
-    /// under `model` and unwraps the results, in input order — the
-    /// drop-in replacement for the deprecated `par_batch*` entry points.
+    /// under `model` and unwraps the results, in input order.
     ///
     /// # Panics
     /// Panics if a worker died mid-batch (requests are submitted without
@@ -239,10 +237,8 @@ impl ClientStats {
 }
 
 /// In-process [`SearchClient`]: a standing pool of planner-backed workers
-/// over one shared proximity cache. Subsumes the deprecated
-/// `par_batch` / `par_batch_with_cache` entry points — same executors, same
-/// shared-cache semantics, but non-blocking submission, per-request models
-/// and deadlines, and no per-batch thread spawning.
+/// over one shared proximity cache: non-blocking submission, per-request
+/// models and deadlines, and no per-batch thread spawning.
 pub struct DirectClient {
     sender: Option<channel::Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
@@ -405,7 +401,7 @@ impl SearchClient for DirectClient {
         let job = Job {
             query: request.query,
             strategy: request.strategy,
-            model: Some(request.model),
+            model: request.model,
             processor: request.processor,
             bounds: request.bounds,
             deadline,
@@ -535,7 +531,7 @@ fn direct_worker_loop<'c, R>(
             });
             continue;
         }
-        let model = job.model.unwrap_or(ProximityModel::Global);
+        let model = job.model;
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
             executor.execute(&job.query, model, job.strategy, job.processor, job.bounds)
         }));
@@ -640,7 +636,7 @@ impl ServedClient {
         planner: Planner,
     ) -> Self {
         ServedClient {
-            service: FriendsService::start_planned(corpus, config, registry, planner),
+            service: FriendsService::start(corpus, config, registry, planner),
         }
     }
 

@@ -178,9 +178,10 @@ impl Iterator for Multiplexer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::{exact_factory, FriendsService, ServiceConfig};
+    use crate::broker::{FriendsService, ServiceConfig};
     use crate::request::Request;
     use friends_core::corpus::Corpus;
+    use friends_core::plan::{Planner, ProcessorRegistry};
     use friends_core::proximity::ProximityModel;
     use friends_data::datasets::{DatasetSpec, Scale};
     use friends_data::queries::Query;
@@ -206,7 +207,8 @@ mod tests {
                 shards: 2,
                 ..ServiceConfig::default()
             },
-            exact_factory(ProximityModel::WeightedDecay { alpha: 0.5 }),
+            Arc::new(ProcessorRegistry::standard()),
+            Planner::default(),
         );
         let mut m = Multiplexer::new();
         for i in 0..20u64 {
@@ -215,7 +217,11 @@ mod tests {
                 tags: vec![(i % 3) as u32],
                 k: 5,
             };
-            m.push(svc.submit(Request::new(q).without_deadline().with_tag(i)));
+            let request = Request::new(q)
+                .with_model(ProximityModel::WeightedDecay { alpha: 0.5 })
+                .without_deadline()
+                .with_tag(i);
+            m.push(svc.submit(request));
         }
         assert_eq!(m.len(), 20);
         let done = m.drain();

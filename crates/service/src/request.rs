@@ -25,13 +25,10 @@ pub struct Request {
     pub strategy: ScoringStrategy,
     /// See [`Deadline`]; defaults to the service's configured budget.
     pub deadline: Deadline,
-    /// Proximity model for planner-backed services
-    /// ([`crate::FriendsService::start_planned`]); `None` means the
-    /// planner's default ([`ProximityModel::Global`]). Fixed-factory
-    /// services ignore it (their processor's model is set at start).
-    pub model: Option<ProximityModel>,
-    /// Expert override for planner-backed services: force a registry entry
-    /// by name. Fixed-factory services ignore it.
+    /// Proximity model the planner serves the request under; defaults to
+    /// [`ProximityModel::Global`].
+    pub model: ProximityModel,
+    /// Expert override: force a registry entry by name.
     pub processor: Option<&'static str>,
     /// Approximation bounds on σ materialization — [`SigmaBounds::EXACT`]
     /// (the default) is lossless. Under overload the broker may tighten
@@ -47,14 +44,14 @@ pub struct Request {
 }
 
 impl Request {
-    /// A request with the default strategy (`Auto`) and the service's
-    /// default deadline.
+    /// A request with the default strategy (`Auto`), the `Global` model
+    /// and the service's default deadline.
     pub fn new(query: Query) -> Self {
         Request {
             query,
             strategy: ScoringStrategy::default(),
             deadline: Deadline::Default,
-            model: None,
+            model: ProximityModel::Global,
             processor: None,
             bounds: SigmaBounds::EXACT,
             tag: 0,
@@ -80,9 +77,9 @@ impl Request {
         self
     }
 
-    /// Sets the proximity model (planner-backed services only).
+    /// Sets the proximity model.
     pub fn with_model(mut self, model: ProximityModel) -> Self {
-        self.model = Some(model);
+        self.model = model;
         self
     }
 
@@ -111,7 +108,7 @@ impl From<QueryRequest> for Request {
             query: r.query,
             strategy: r.strategy,
             deadline: r.deadline,
-            model: Some(r.model),
+            model: r.model,
             processor: r.processor,
             bounds: r.bounds,
             tag: r.tag,
@@ -145,7 +142,7 @@ impl Outcome {
     }
 
     /// Unwraps the result, panicking on a miss or failure — for clients
-    /// (like the batch shim) that run without deadlines.
+    /// that run without deadlines.
     pub fn expect_done(self, context: &str) -> SearchResult {
         match self {
             Outcome::Done(r) => r,
@@ -186,6 +183,24 @@ pub struct Reply {
 }
 
 impl Reply {
+    /// A reply with every flag clear, no queue wait and no trace; the
+    /// residual is the outcome's (0.0 unless it carries a result). Reply
+    /// sites set the flags that apply with struct-update syntax.
+    pub(crate) fn new(outcome: Outcome, shard: usize, tag: u64) -> Reply {
+        let residual = outcome.result().map_or(0.0, |r| r.residual);
+        Reply {
+            outcome,
+            shard,
+            queue_wait: Duration::ZERO,
+            coalesced: false,
+            result_cached: false,
+            degraded: false,
+            residual,
+            tag,
+            trace: None,
+        }
+    }
+
     /// The retained trace's id, if the request was traced.
     pub fn trace_id(&self) -> Option<u64> {
         self.trace.as_ref().map(|t| t.id)
@@ -272,17 +287,7 @@ impl Ticket {
         loop {
             let now = Instant::now();
             if now >= deadline {
-                return Reply {
-                    outcome: Outcome::DeadlineMissed,
-                    shard: self.shard,
-                    queue_wait: Duration::ZERO,
-                    coalesced: false,
-                    result_cached: false,
-                    degraded: false,
-                    residual: 0.0,
-                    tag: self.tag,
-                    trace: None,
-                };
+                return Reply::new(Outcome::DeadlineMissed, self.shard, self.tag);
             }
             match self.rx.recv_timeout(deadline - now) {
                 Ok(reply) => return reply,
@@ -308,17 +313,7 @@ impl Ticket {
     }
 
     fn failed(&self) -> Reply {
-        Reply {
-            outcome: Outcome::Failed,
-            shard: self.shard,
-            queue_wait: Duration::ZERO,
-            coalesced: false,
-            result_cached: false,
-            degraded: false,
-            residual: 0.0,
-            tag: self.tag,
-            trace: None,
-        }
+        Reply::new(Outcome::Failed, self.shard, self.tag)
     }
 }
 
@@ -326,7 +321,7 @@ impl Ticket {
 pub(crate) struct Job {
     pub query: Query,
     pub strategy: ScoringStrategy,
-    pub model: Option<ProximityModel>,
+    pub model: ProximityModel,
     pub processor: Option<&'static str>,
     pub bounds: SigmaBounds,
     pub deadline: Option<Instant>,

@@ -40,8 +40,8 @@ pub(crate) struct ShardState {
     pub cache: Arc<ProximityCache>,
     /// Present when the service memoizes results.
     pub results: Option<Arc<ResultCache>>,
-    /// Present when the service is planner-backed.
-    pub plans: Option<Arc<PlanCounters>>,
+    /// Planner decisions of the shard's engine.
+    pub plans: Arc<PlanCounters>,
     /// Per-stage latency histograms (queue wait, σ materialization,
     /// scoring, end-to-end) — lock-free, recorded by the worker loop.
     pub latency: StageLatencies,
@@ -54,7 +54,7 @@ impl ShardState {
     pub fn new(
         cache: Arc<ProximityCache>,
         results: Option<Arc<ResultCache>>,
-        plans: Option<Arc<PlanCounters>>,
+        plans: Arc<PlanCounters>,
         traces: Arc<TraceCollector>,
     ) -> Self {
         ShardState {
@@ -110,11 +110,7 @@ impl ShardState {
             mutation_epoch: self.mutation_epoch.load(Ordering::Relaxed),
             cache: self.cache.stats(),
             results: self.results.as_ref().map(|r| r.stats()).unwrap_or_default(),
-            plans: self
-                .plans
-                .as_ref()
-                .map(|p| p.snapshot())
-                .unwrap_or_default(),
+            plans: self.plans.snapshot(),
             latency: self.latency.snapshot(),
             traces_dropped: self.traces.dropped(),
         }
@@ -179,8 +175,7 @@ pub struct ShardStats {
     /// The shard-private result-memoization cache's counters (all zero
     /// when disabled).
     pub results: CacheStats,
-    /// Planner decisions on this shard (all zero for fixed-factory
-    /// services, which never plan).
+    /// Planner decisions on this shard.
     pub plans: PlanHistogram,
     /// Per-stage latency histograms. Queue wait and end-to-end count
     /// *requests* (every dispatched / every answered one); σ and scoring

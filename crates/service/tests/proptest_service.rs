@@ -1,19 +1,14 @@
 //! Routing-exactness property suite: for random corpora and request
 //! streams, the service returns **byte-identical** results (same item ids,
-//! bit-equal scores) to direct single-processor execution and to
-//! `par_batch`, for every proximity model × processor — including under
+//! bit-equal scores) to direct single-threaded execution of the same
+//! processor, for every proximity model × processor — including under
 //! forced shard counts of 1 (fully serialized) and far more shards than
-//! distinct seekers (maximally spread). Affinity routing, batching and
-//! coalescing may change *where and how often* a query executes, never its
-//! answer.
+//! distinct seekers (maximally spread). Affinity routing, batching,
+//! coalescing and memoization may change *where and how often* a query
+//! executes, never its answer.
 
-// This suite deliberately pins the deprecated batch entry points — they
-// must stay byte-identical to the service for as long as they exist.
-#![allow(deprecated)]
-
-use friends_core::batch::par_batch;
-use friends_core::corpus::Corpus;
-use friends_core::plan::QueryRequest;
+use friends_core::corpus::{Corpus, SearchResult};
+use friends_core::plan::{QueryRequest, GLOBAL_BOUND_TA};
 use friends_core::processors::{
     ExactOnline, ExpansionConfig, FriendExpansion, GlobalBoundTA, Processor,
 };
@@ -23,8 +18,8 @@ use friends_data::store::TagStore;
 use friends_data::Tagging;
 use friends_graph::GraphBuilder;
 use friends_service::{
-    exact_factory, global_bound_factory, par_batch_served, FaultKind, FaultPlan, FriendsService,
-    Outcome, Request, SearchClient, ServedClient, ServiceConfig, ShardContext,
+    FaultKind, FaultPlan, FriendsService, Outcome, Planner, ProcessorRegistry, Request,
+    SearchClient, ServedClient, ServiceConfig,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -108,6 +103,45 @@ fn arb_bounds() -> impl Strategy<Value = SigmaBounds> {
         })
 }
 
+/// Runs `requests` deadline-free through a `shards`-shard service over
+/// `registry`, returning the results in input order.
+fn serve(
+    corpus: &Arc<Corpus>,
+    shards: usize,
+    registry: ProcessorRegistry,
+    requests: Vec<QueryRequest>,
+) -> Vec<SearchResult> {
+    let client = ServedClient::with_registry(
+        Arc::clone(corpus),
+        ServiceConfig {
+            shards,
+            default_deadline: None,
+            ..ServiceConfig::default()
+        },
+        Arc::new(registry),
+        Planner::default(),
+    );
+    let out = client
+        .run_batch(requests)
+        .into_iter()
+        .map(|r| r.outcome.expect_done("serve"))
+        .collect();
+    client.shutdown();
+    out
+}
+
+/// `queries` as deadline-free requests under `model`.
+fn requests(queries: &[Query], model: ProximityModel) -> Vec<QueryRequest> {
+    queries
+        .iter()
+        .map(|q| {
+            QueryRequest::from_query(q.clone())
+                .with_model(model)
+                .without_deadline()
+        })
+        .collect()
+}
+
 fn assert_streams_identical(
     want: &[Vec<(u32, f32)>],
     got: &[friends_core::corpus::SearchResult],
@@ -144,17 +178,18 @@ proptest! {
             let want: Vec<Vec<(u32, f32)>> =
                 queries.iter().map(|q| direct.query(q).items).collect();
             for shards in SHARD_COUNTS {
-                let served = par_batch_served(&corpus, &queries, shards, exact_factory(model));
+                let served = serve(
+                    &corpus,
+                    shards,
+                    ProcessorRegistry::standard(),
+                    requests(&queries, model),
+                );
                 assert_streams_identical(
                     &want,
                     &served,
                     &format!("exact-online {} shards={shards}", model.name()),
                 )?;
             }
-            // And the pre-existing batch path agrees too (the service is a
-            // drop-in for it).
-            let batch = par_batch(&queries, 2, || ExactOnline::new(&corpus, model));
-            assert_streams_identical(&want, &batch, &format!("par_batch {}", model.name()))?;
         }
     }
 
@@ -169,9 +204,12 @@ proptest! {
             let mut direct = GlobalBoundTA::new(&corpus, model);
             let want: Vec<Vec<(u32, f32)>> =
                 queries.iter().map(|q| direct.query(q).items).collect();
+            let forced: Vec<QueryRequest> = requests(&queries, model)
+                .into_iter()
+                .map(|r| r.with_processor(GLOBAL_BOUND_TA))
+                .collect();
             for shards in SHARD_COUNTS {
-                let served =
-                    par_batch_served(&corpus, &queries, shards, global_bound_factory(model));
+                let served = serve(&corpus, shards, ProcessorRegistry::standard(), forced.clone());
                 assert_streams_identical(
                     &want,
                     &served,
@@ -181,19 +219,85 @@ proptest! {
         }
     }
 
-    /// A custom factory (FriendExpansion — a processor with no strategy
-    /// hints and no cache use) serves byte-identically too: the broker does
-    /// not depend on processor internals.
+    /// A custom registry entry (FriendExpansion — a processor with no
+    /// strategy hints and no cache use) serves byte-identically too: the
+    /// broker does not depend on processor internals.
     #[test]
     fn service_friend_expansion_is_byte_identical((corpus, queries) in arb_corpus_and_stream()) {
         let mut direct = FriendExpansion::new(&corpus, ExpansionConfig::default());
         let want: Vec<Vec<(u32, f32)>> = queries.iter().map(|q| direct.query(q).items).collect();
         for shards in SHARD_COUNTS {
-            let served = par_batch_served(&corpus, &queries, shards, |c: &Corpus, _ctx: ShardContext| {
+            let mut registry = ProcessorRegistry::new();
+            registry.register("friend-expansion", |c, _model, _cache| {
                 Box::new(FriendExpansion::new(c, ExpansionConfig::default()))
-                    as Box<dyn Processor + '_>
             });
+            let served = serve(&corpus, shards, registry, requests(&queries, ProximityModel::Global));
             assert_streams_identical(&want, &served, &format!("friend-expansion shards={shards}"))?;
+        }
+    }
+
+    /// Duplicate-heavy streams under every serving mode — coalescing on or
+    /// off × memoization on or off — stay byte-identical to direct
+    /// `ExactOnline`, and every submitted request is accounted for exactly
+    /// once: executed, coalesced, memo-served, shed or failed.
+    #[test]
+    fn duplicate_heavy_streams_are_exact_and_accounted_in_every_mode(
+        (corpus, queries) in arb_corpus_and_stream(),
+        repeats in 2usize..6,
+    ) {
+        let model = ProximityModel::WeightedDecay { alpha: 0.5 };
+        let mut direct = ExactOnline::new(&corpus, model);
+        let once: Vec<Vec<(u32, f32)>> = queries.iter().map(|q| direct.query(q).items).collect();
+        // The stream `repeats` times over, flooded in before any reply is
+        // collected: duplicates share dispatch cycles and recur in later
+        // ones.
+        let stream: Vec<&Query> = (0..repeats).flat_map(|_| &queries).collect();
+        let want: Vec<Vec<(u32, f32)>> = (0..repeats).flat_map(|_| once.clone()).collect();
+        for coalesce in [true, false] {
+            for result_cache_capacity in [0, 64] {
+                let label = format!("coalesce={coalesce} memo={result_cache_capacity}");
+                let svc = FriendsService::start(
+                    Arc::clone(&corpus),
+                    ServiceConfig {
+                        shards: 2,
+                        coalesce,
+                        result_cache_capacity,
+                        ..ServiceConfig::default()
+                    },
+                    Arc::new(ProcessorRegistry::standard()),
+                    Planner::default(),
+                );
+                let tickets: Vec<_> = stream
+                    .iter()
+                    .map(|q| {
+                        svc.submit(
+                            Request::new((*q).clone())
+                                .with_model(model)
+                                .without_deadline(),
+                        )
+                    })
+                    .collect();
+                let served: Vec<SearchResult> = tickets
+                    .into_iter()
+                    .map(|t| t.wait().outcome.expect_done(&label))
+                    .collect();
+                assert_streams_identical(&want, &served, &label)?;
+                let t = svc.shutdown().totals();
+                prop_assert_eq!(t.submitted, stream.len() as u64, "{}", label);
+                prop_assert_eq!(
+                    t.executed + t.coalesced + t.result_served + t.deadline_misses + t.failed,
+                    t.submitted,
+                    "{}: {:?}",
+                    label,
+                    t
+                );
+                if !coalesce {
+                    prop_assert_eq!(t.coalesced, 0, "{}", label);
+                }
+                if result_cache_capacity == 0 {
+                    prop_assert_eq!(t.result_served, 0, "{}", label);
+                }
+            }
         }
     }
 
@@ -302,7 +406,8 @@ fn midstream_panic_loses_only_the_in_flight_request() {
             }),
             ..ServiceConfig::default()
         },
-        exact_factory(model),
+        Arc::new(ProcessorRegistry::standard()),
+        Planner::default(),
     );
 
     // Flood the entire stream before collecting anything, so the fault
@@ -316,7 +421,7 @@ fn midstream_panic_loses_only_the_in_flight_request() {
         .collect();
     let tickets: Vec<_> = queries
         .iter()
-        .map(|q| svc.submit(Request::new(q.clone()).without_deadline()))
+        .map(|q| svc.submit(Request::new(q.clone()).with_model(model).without_deadline()))
         .collect();
     let replies: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
 
@@ -335,7 +440,11 @@ fn midstream_panic_loses_only_the_in_flight_request() {
 
     // The shard rebuilt its engine once and keeps serving fresh requests.
     let after = svc
-        .submit(Request::new(queries[0].clone()).without_deadline())
+        .submit(
+            Request::new(queries[0].clone())
+                .with_model(model)
+                .without_deadline(),
+        )
         .wait();
     assert!(
         after.outcome.result().is_some(),

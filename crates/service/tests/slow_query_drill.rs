@@ -8,8 +8,8 @@ use friends_core::corpus::Corpus;
 use friends_data::datasets::{DatasetSpec, Scale};
 use friends_data::queries::Query;
 use friends_service::{
-    exact_factory, FaultKind, FaultPlan, FriendsService, Request, ServiceConfig, TraceConfig,
-    TraceOutcome,
+    FaultKind, FaultPlan, FriendsService, Planner, ProcessorRegistry, Request, ServiceConfig,
+    TraceConfig, TraceOutcome,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,7 +38,8 @@ fn delayed_request_lands_in_the_slow_query_log_with_its_span_tree() {
     let svc = FriendsService::start(
         Arc::clone(&corpus),
         config,
-        exact_factory(friends_core::proximity::ProximityModel::Global),
+        Arc::new(ProcessorRegistry::standard()),
+        Planner::default(),
     );
     // Sequential distinct queries: each waits for its reply before the next
     // submits, so every request executes alone (no coalescing, no queue

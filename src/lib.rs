@@ -59,7 +59,7 @@
 //! The same requests serve unchanged — byte-identical rankings — through a
 //! [`ServedClient`](prelude::ServedClient) over the sharded
 //! seeker-affinity broker; see `crates/README.md` for the request
-//! lifecycle and the migration table from the deprecated `par_batch*`
+//! lifecycle and the migration table from the removed `par_batch*`
 //! entry points.
 
 pub use friends_core as core;
@@ -70,8 +70,6 @@ pub use friends_service as service;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use friends_core::batch::{par_batch, par_batch_with_cache};
     pub use friends_core::cache::{CachePolicy, CacheStats, ProximityCache};
     pub use friends_core::corpus::{Corpus, QueryStats, SearchResult};
     pub use friends_core::eval::{
@@ -96,15 +94,12 @@ pub mod prelude {
     pub use friends_data::{ItemId, TagId, Tagging, UserId};
     pub use friends_graph::{CsrGraph, GraphBuilder, NodeId};
     pub use friends_index::inverted::{IndexConfig, InvertedIndex};
-    #[allow(deprecated)]
-    pub use friends_service::par_batch_served;
     pub use friends_service::{
-        exact_factory, global_bound_factory, ClientStats, DirectClient, DirectConfig,
-        DurabilityConfig, FaultKind, FaultPlan, FriendsService, LiveCorpus, LiveDurability, Metric,
-        MetricKind, MetricsRegistry, Multiplexer, Mutation, MutationBatch, MutationParams,
-        MutationReport, MutationStream, Outcome, OverloadPolicy, QueryTrace, RecoverError,
-        RecoveryReport, Reply, Request, SearchClient, ServedClient, ServiceConfig, ServiceStats,
-        ShardStats, SyncPolicy, Ticket, TraceConfig, TraceEvent, TraceOutcome, TraceSpan,
-        WalAppend, WalStats,
+        ClientStats, DirectClient, DirectConfig, DurabilityConfig, FaultKind, FaultPlan,
+        FriendsService, LiveCorpus, LiveDurability, Metric, MetricKind, MetricsRegistry,
+        Multiplexer, Mutation, MutationBatch, MutationParams, MutationReport, MutationStream,
+        Outcome, OverloadPolicy, QueryTrace, RecoverError, RecoveryReport, Reply, Request,
+        SearchClient, ServedClient, ServiceConfig, ServiceStats, ShardStats, SyncPolicy, Ticket,
+        TraceConfig, TraceEvent, TraceOutcome, TraceSpan, WalAppend, WalStats,
     };
 }

@@ -63,31 +63,6 @@ fn one_request_surface_two_backends_same_answers() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_prelude_entry_points_agree_with_clients() {
-    let (corpus, w) = fixture();
-    let client = DirectClient::start(Arc::clone(&corpus), DirectConfig::default());
-    let via_client = client.search(&w.queries, MODEL);
-    let legacy = par_batch(&w.queries, 3, || ExactOnline::new(&corpus, MODEL));
-    let cache = Arc::new(ProximityCache::new(128));
-    let legacy_cached = par_batch_with_cache(&w.queries, 3, &cache, |c| {
-        ExactOnline::with_cache(&corpus, MODEL, c)
-    });
-    let legacy_served = par_batch_served(&corpus, &w.queries, 2, exact_factory(MODEL));
-    for (((a, b), c), d) in via_client
-        .iter()
-        .zip(&legacy)
-        .zip(&legacy_cached)
-        .zip(&legacy_served)
-    {
-        assert_eq!(a.items, b.items);
-        assert_eq!(a.items, c.items);
-        assert_eq!(a.items, d.items);
-    }
-    client.shutdown();
-}
-
-#[test]
 fn multiplexed_session_with_mixed_models_and_deadlines() {
     let (corpus, w) = fixture();
     let client = ServedClient::start(
